@@ -8,11 +8,10 @@
 //!   ChainKey lookup), one with the cache disabled (every request runs
 //!   full path construction and signature verification). The printed
 //!   ratio is the measured value of the serving cache.
-//! * **Transport** — the same warm request stream over real TCP, under
-//!   three disciplines at an equal worker count: the thread-per-connection
-//!   core with serial round trips, the event core with serial round
-//!   trips, and the event core with depth-8 pipelining. A fourth pair
-//!   compares sixteen single `validate` round trips against one
+//! * **Transport** — the same warm request stream over real TCP through
+//!   the event server, under two disciplines: serial round trips and
+//!   depth-8 pipelining. A second pair compares sixteen single
+//!   `validate` round trips against one
 //!   `batch_validate` frame carrying the same sixteen chains. On a warm
 //!   cache the service work is a memo hit, so these numbers isolate what
 //!   the paper's workload actually pays per query: syscalls and
@@ -31,10 +30,9 @@ use tangled_bench::criterion;
 use tangled_intercept::origin::OriginServers;
 use tangled_intercept::policy::Target;
 use tangled_trustd::wire::Request;
-use tangled_trustd::{EventServer, TrustClient, TrustServer, TrustService, DEFAULT_CACHE_CAPACITY};
+use tangled_trustd::{EventServer, TrustClient, TrustService, DEFAULT_CACHE_CAPACITY};
 
-/// Worker count shared by both cores so the comparison is apples to
-/// apples: two loop threads vs two connection threads.
+/// Readiness-loop threads in the benchmarked server.
 const WORKERS: usize = 2;
 
 /// Pipeline depth for the pipelined discipline.
@@ -167,18 +165,10 @@ fn bench_transport() -> serde_json::Value {
         service.handle(req);
     }
 
-    // Thread core, serial round trips.
-    let threads_serial = {
-        let server = TrustServer::bind("127.0.0.1:0", Arc::clone(&service), WORKERS)
-            .expect("bind thread core");
-        let mut client = TrustClient::connect(server.local_addr()).expect("connect");
-        mean_round(|| drive(&mut client, &reqs, 1))
-    };
-
-    // Event core, serial and pipelined, over one server instance.
+    // Serial and pipelined, over one server instance.
     let (event_serial, event_pipelined, batch_singles, batch_one_frame) = {
         let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service), WORKERS)
-            .expect("bind event core");
+            .expect("bind event server");
         let mut client = TrustClient::connect(server.local_addr()).expect("connect");
         let serial = mean_round(|| drive(&mut client, &reqs, 1));
         let pipelined = mean_round(|| drive(&mut client, &reqs, PIPELINE_DEPTH));
@@ -218,10 +208,6 @@ fn bench_transport() -> serde_json::Value {
         "requests_per_round": reqs.len(),
         "rounds": ROUNDS,
         "pipeline_depth": PIPELINE_DEPTH,
-        "threads_serial": {
-            "seconds_per_round": threads_serial,
-            "req_per_s": per_round / threads_serial.max(1e-12),
-        },
         "event_serial": {
             "seconds_per_round": event_serial,
             "req_per_s": per_round / event_serial.max(1e-12),
@@ -229,7 +215,7 @@ fn bench_transport() -> serde_json::Value {
         "event_pipelined": {
             "seconds_per_round": event_pipelined,
             "req_per_s": per_round / event_pipelined.max(1e-12),
-            "speedup_vs_threads_serial": threads_serial / event_pipelined.max(1e-12),
+            "speedup_vs_event_serial": event_serial / event_pipelined.max(1e-12),
         },
         "batch": {
             "chains": BATCH,
@@ -239,12 +225,11 @@ fn bench_transport() -> serde_json::Value {
         },
     });
     println!(
-        "serve/tcp: threads serial {:.0} req/s · event serial {:.0} req/s · \
-         event pipeline-{PIPELINE_DEPTH} {:.0} req/s ({:.2}x vs threads serial)",
-        per_round / threads_serial,
+        "serve/tcp: event serial {:.0} req/s · event pipeline-{PIPELINE_DEPTH} {:.0} req/s \
+         ({:.2}x vs serial)",
         per_round / event_serial,
         per_round / event_pipelined,
-        threads_serial / event_pipelined.max(1e-12),
+        event_serial / event_pipelined.max(1e-12),
     );
     println!(
         "serve/tcp: {BATCH} single validates {:.3} ms vs one batch_validate {:.3} ms ({:.2}x)",

@@ -4,8 +4,8 @@
 //! Everything here is synchronous and deterministic: the request mix
 //! comes from [`crate::replay::queries`], each attempt runs the *real*
 //! [`TrustClient`] over a [`ChaosStream`]-wrapped simulated connection
-//! into the *real* server frame loop
-//! ([`crate::server`]'s `serve_connection`), and every RNG is seeded.
+//! into the *real* server frame loop ([`serve_stream`], the state
+//! machine the TCP server multiplexes), and every RNG is seeded.
 //! Same [`ChaosSpec`], same faults, same outcomes, byte for byte — the
 //! ledger is comparable with `cmp` across runs, which is exactly what
 //! the CI chaos smoke does.
@@ -28,54 +28,14 @@
 use crate::client::TrustClient;
 use crate::event::serve_stream;
 use crate::replay::{canonical, population, queries, ReplaySpec};
-use crate::server::serve_connection;
 use crate::service::{TrustService, DEFAULT_CACHE_CAPACITY};
 use crate::wire::{self, Response};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use tangled_faults::chaos::{ChaosPlan, ChaosStream, WireFault, WireFaultKind};
-
-/// Which server core handles the simulated connections.
-///
-/// Both cores speak the identical wire protocol and classify the
-/// identical fault set, so the chaos ledger — a pure function of the
-/// bytes on the wire — must come out byte-identical under either. The
-/// harness's core selector exists to *prove* that, not to change the
-/// outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeCore {
-    /// The blocking thread-per-connection frame loop
-    /// ([`crate::server`]'s `serve_connection`).
-    #[default]
-    Threads,
-    /// The readiness-loop event core ([`crate::event::serve_stream`]).
-    Event,
-}
-
-impl ServeCore {
-    /// Stable label for ledgers and CLI output.
-    pub fn label(self) -> &'static str {
-        match self {
-            ServeCore::Threads => "threads",
-            ServeCore::Event => "event",
-        }
-    }
-}
-
-impl std::str::FromStr for ServeCore {
-    type Err = String;
-    fn from_str(s: &str) -> Result<ServeCore, String> {
-        match s {
-            "threads" => Ok(ServeCore::Threads),
-            "event" => Ok(ServeCore::Event),
-            other => Err(format!("unknown core {other:?} (expected threads|event)")),
-        }
-    }
-}
 
 /// What to run: request volume, fault schedule, retry budget.
 #[derive(Debug, Clone)]
@@ -94,8 +54,6 @@ pub struct ChaosSpec {
     pub max_attempts: u32,
     /// Fault kinds in play (defaults to every kind).
     pub kinds: Vec<WireFaultKind>,
-    /// Which server core answers the simulated connections.
-    pub core: ServeCore,
 }
 
 impl Default for ChaosSpec {
@@ -107,7 +65,6 @@ impl Default for ChaosSpec {
             busy_rate: 0.1,
             max_attempts: 4,
             kinds: WireFaultKind::ALL.to_vec(),
-            core: ServeCore::default(),
         }
     }
 }
@@ -155,11 +112,10 @@ struct SimConn<'a> {
     pos: usize,
     served: bool,
     busy: bool,
-    core: ServeCore,
 }
 
 impl<'a> SimConn<'a> {
-    fn new(service: &'a TrustService, busy: bool, core: ServeCore) -> SimConn<'a> {
+    fn new(service: &'a TrustService, busy: bool) -> SimConn<'a> {
         SimConn {
             service,
             inbox: Vec::new(),
@@ -167,7 +123,6 @@ impl<'a> SimConn<'a> {
             pos: 0,
             served: false,
             busy,
-            core,
         }
     }
 
@@ -179,20 +134,12 @@ impl<'a> SimConn<'a> {
             let _ = wire::write_frame(&mut self.outbox, &Response::Busy.encode());
             return;
         }
-        let stop = AtomicBool::new(false);
         let mut stream = ServerSide {
             input: &self.inbox,
             pos: 0,
             output: &mut self.outbox,
         };
-        match self.core {
-            ServeCore::Threads => {
-                serve_connection(&mut stream, self.service, &stop, 1000, 0);
-            }
-            ServeCore::Event => {
-                serve_stream(&mut stream, self.service, &stop, 1000, 0);
-            }
-        }
+        serve_stream(&mut stream, self.service);
     }
 }
 
@@ -304,7 +251,7 @@ pub fn run(spec: &ChaosSpec) -> ChaosReport {
             salt += 1;
             let busy = busy_rng.gen_bool(spec.busy_rate);
             let ledger = Arc::new(Mutex::new(Vec::<WireFault>::new()));
-            let conn = SimConn::new(&service, busy, spec.core);
+            let conn = SimConn::new(&service, busy);
             let stream = ChaosStream::with_ledger(conn, &plan, salt, Arc::clone(&ledger));
             let mut client = TrustClient::from_stream(stream);
             client.set_response_ticks(50);
@@ -513,34 +460,14 @@ mod tests {
         assert!(report.fault_counts.is_empty());
     }
 
-    /// The conservation invariant is core-independent: the event core
-    /// sees the same damaged bytes and must classify them identically,
-    /// so the whole ledger — fault schedule, outcomes, actions — comes
-    /// out byte-for-byte equal to the threads core's.
-    #[test]
-    fn event_core_ledger_is_byte_identical_to_threads() {
-        let threads = run(&small_spec());
-        let event = run(&ChaosSpec {
-            core: ServeCore::Event,
-            ..small_spec()
-        });
-        assert!(event.conserved(), "{}", event.ledger);
-        assert_eq!(
-            threads.ledger, event.ledger,
-            "same spec, same bytes on the wire, same ledger"
-        );
-    }
-
-    /// Saturation check against the event core specifically: rate 1.0
-    /// damages every frame, and every failure must still trace back to
-    /// an injected fault.
+    /// Saturation check: rate 1.0 damages every frame, and every
+    /// failure must still trace back to an injected fault.
     #[test]
     fn event_core_conserves_under_full_fault_rate() {
         let spec = ChaosSpec {
             requests: 12,
             rate: 1.0,
             busy_rate: 0.0,
-            core: ServeCore::Event,
             ..ChaosSpec::default()
         };
         let report = run(&spec);
@@ -573,8 +500,7 @@ mod tests {
                 output: &mut replies,
             };
             let mut chaos = ChaosStream::new(side, &plan, 0);
-            let stop = AtomicBool::new(false);
-            serve_connection(&mut chaos, &service, &stop, 1000, 0);
+            serve_stream(&mut chaos, &service);
         }
         // The client sees a frame whose body no longer decodes (or whose
         // JSON changed); either way it is classified, never silent.

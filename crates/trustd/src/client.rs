@@ -12,13 +12,10 @@
 //! over simulated and fault-injecting transports; the `TcpStream` impl
 //! adds the connect helpers.
 
-use crate::wire::{self, FrameError, Request, Response, WireError};
+use crate::wire::{self, FrameError, Request, Response, WireError, READ_TICK};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
-
-/// Socket read-timeout tick; reply waits are counted in these.
-const READ_TICK: Duration = Duration::from_millis(50);
 
 /// Write timeout for TCP sockets: a peer that stops draining cannot
 /// block the caller in `write` indefinitely.

@@ -1,13 +1,10 @@
-//! The event-driven server core: connection multiplexing over a handful
-//! of readiness-loop threads.
+//! The trustd serving core: connection multiplexing over a handful of
+//! readiness-loop threads.
 //!
-//! The thread core ([`crate::server::TrustServer`]) parks one worker per
-//! connection — a slow or trickling client pins a whole worker, so
-//! throughput is capped at `workers`. This core inverts that: sockets are
-//! nonblocking, each loop thread owns *many* connections, and a sweep
-//! over them does bounded nonblocking reads, incremental frame decode,
-//! and buffered partial writes. A stalled peer costs one connection slot,
-//! not a thread.
+//! Sockets are nonblocking, each loop thread owns *many* connections, and
+//! a sweep over them does bounded nonblocking reads, incremental frame
+//! decode, and buffered partial writes. A stalled or trickling peer costs
+//! one connection slot, not a thread.
 //!
 //! The readiness abstraction is deliberately std-only (the repo's
 //! no-external-deps discipline rules out `libc`/epoll): level-triggered
@@ -17,20 +14,24 @@
 //! loop never sleeps and behaves exactly like a level-triggered poller
 //! that always reports every socket ready.
 //!
-//! Per-connection protocol semantics are *identical* to the thread core —
-//! the chaos harness asserts byte-identical ledgers across both cores:
+//! Protocol failures follow the quarantine discipline, not the
+//! drop-the-connection one:
 //!
 //! - an undecodable message gets a classified `error` reply and the
 //!   connection lives on;
 //! - an oversized frame's header still declares the next boundary, so the
-//!   declared body is skipped (here: consumed incrementally as it
-//!   arrives, no thread ever blocks draining it), the classified reply is
-//!   queued, and the connection keeps serving;
+//!   declared body is skipped (consumed incrementally as it arrives, no
+//!   thread ever blocks draining it), the classified reply is queued, and
+//!   the connection keeps serving;
 //! - mid-frame truncation (EOF or a dead stall inside a frame) closes the
 //!   stream after a best-effort error reply;
 //! - EOF while skipping an oversized body closes without a *second*
-//!   fault — the oversized frame was already recorded, matching the
-//!   thread core's failed-drain path.
+//!   fault — the oversized frame was already recorded.
+//!
+//! Every fault is recorded in the service's health ledger before the
+//! reply is queued. Every TCP connection runs under a `trustd.conn`
+//! observability span and maintains `trustd.conn.*` registry gauges, so
+//! a loaded server can be read from its metrics dump.
 //!
 //! On top of multiplexing, this core supports **pipelining**: a client
 //! may write any number of request frames before reading a reply. Each
@@ -39,9 +40,8 @@
 //! and ~one coalesced write instead of N of each — replies are always
 //! written in request order per connection.
 
-use crate::server::{record_wire_trace, ServerConfig, READ_TICK};
 use crate::service::TrustService;
-use crate::wire::{self, Request, Response, WireError, MAX_FRAME, STALL_BUDGET};
+use crate::wire::{self, Request, Response, WireError, MAX_FRAME, READ_TICK, STALL_BUDGET};
 use serde_json::Value;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -50,6 +50,31 @@ use std::sync::mpsc::{self, Receiver, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Admission knobs for an [`EventServer`].
+#[derive(Debug, Clone)]
+pub struct ServerConfig {
+    /// Readiness-loop threads (minimum 1).
+    pub workers: usize,
+    /// Maximum registered connections. Arrivals beyond the budget are
+    /// *shed*: the accept thread replies `busy` and closes, instead of
+    /// registering unboundedly.
+    pub backlog: usize,
+}
+
+impl Default for ServerConfig {
+    fn default() -> ServerConfig {
+        ServerConfig {
+            workers: 4,
+            backlog: 1024,
+        }
+    }
+}
+
+/// How many [`READ_TICK`]s a connection may sit idle at a frame boundary
+/// before the server closes it. 1200 ticks ≈ one minute: an abandoned
+/// socket cannot hold a connection slot forever.
+const IDLE_TICKS: u32 = 1200;
 
 /// Read scratch size per sweep round: large enough to drain a pipelined
 /// burst in one syscall, small enough to live on the stack.
@@ -186,8 +211,7 @@ impl ConnState {
 
     /// The peer closed its write side. Mid-frame EOF is a classified
     /// truncation; EOF while skipping an oversized body is *not* a second
-    /// fault (the oversized frame was already recorded — the thread
-    /// core's failed-drain path behaves identically).
+    /// fault (the oversized frame was already recorded).
     fn on_eof(&mut self, service: &TrustService) {
         if self.drain == 0 && !self.rbuf.is_empty() {
             let e = WireError::Truncated;
@@ -264,25 +288,18 @@ impl ConnState {
     }
 }
 
-/// The event-core frame loop for a *single* stream — the state machine
-/// of the multiplexed loop, run synchronously. Semantically equivalent to
-/// [`crate::server::serve_connection`] (same faults recorded, same
-/// replies, same close conditions) but with incremental decode and
-/// coalesced reply writes, so a pipelined burst of N requests costs ~one
-/// read and ~one write instead of N of each.
+/// The frame loop for a *single* stream — the state machine of the
+/// multiplexed loop, run synchronously: same faults recorded, same
+/// replies, same close conditions, and a pipelined burst of N requests
+/// still costs ~one read and ~one write.
 ///
-/// Generic over the stream so the loopback tests, the pipelining
-/// proptests, and the chaos harness can drive it over simulated
-/// transports; the harness asserts its ledger is byte-identical to the
-/// thread core's. Returns the number of requests served.
-pub fn serve_stream<S: Read + Write>(
-    stream: &mut S,
-    service: &TrustService,
-    stop: &AtomicBool,
-    idle_ticks: u32,
-    span: u64,
-) -> u64 {
-    let mut state = ConnState::new(span);
+/// Generic over the stream so the pipelining proptests and the chaos
+/// harness can drive it over simulated transports. A read timeout
+/// (`WouldBlock`/`TimedOut`) counts one tick against the idle deadline at
+/// a frame boundary and against the stall budget mid-frame. Returns the
+/// number of requests served.
+pub fn serve_stream<S: Read + Write>(stream: &mut S, service: &TrustService) -> u64 {
+    let mut state = ConnState::new(0);
     let mut scratch = [0u8; SCRATCH];
     let mut idle = 0u32;
     let mut stalls = 0u32;
@@ -303,11 +320,8 @@ pub fn serve_stream<S: Read + Write>(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) if wire::is_timeout(&e) => {
                 if state.at_boundary() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
                     idle += 1;
-                    if idle > idle_ticks {
+                    if idle > IDLE_TICKS {
                         // An abandoned connection at a frame boundary:
                         // a deadline, not a protocol fault.
                         tangled_obs::registry::add("trustd.conn.idle_closed", 1);
@@ -357,9 +371,8 @@ impl EventServer {
 
     /// Bind `addr` with explicit configuration. `config.workers` is the
     /// number of loop threads; `config.backlog` bounds *registered*
-    /// connections (the multiplexed analogue of the thread core's queue
-    /// budget) — arrivals beyond it are shed with an explicit `busy`
-    /// frame, exactly like the thread core.
+    /// connections — arrivals beyond it are shed with an explicit `busy`
+    /// frame.
     pub fn bind_with(
         addr: impl ToSocketAddrs,
         service: Arc<TrustService>,
@@ -381,9 +394,8 @@ impl EventServer {
             let service = Arc::clone(&service);
             let stop = Arc::clone(&stop);
             let active = Arc::clone(&active);
-            let idle_ticks = config.idle_ticks;
             handles.push(std::thread::spawn(move || {
-                event_loop(&rx, &service, &stop, &active, idle_ticks)
+                event_loop(&rx, &service, &stop, &active)
             }));
         }
 
@@ -440,8 +452,8 @@ impl EventServer {
     }
 }
 
-/// Shed one connection: explicit `busy` frame, bounded drain, close —
-/// byte-identical to the thread core's over-budget path.
+/// Shed one connection: explicit `busy` frame, bounded drain, close.
+/// The peer gets a classified refusal, not a silent RST.
 fn shed(stream: &mut TcpStream) {
     tangled_obs::registry::add("trustd.admission.shed", 1);
     let _ = wire::write_frame(stream, &Response::Busy.encode());
@@ -476,11 +488,12 @@ fn event_loop(
     service: &Arc<TrustService>,
     stop: &Arc<AtomicBool>,
     active: &Arc<AtomicUsize>,
-    idle_ticks: u32,
 ) {
-    // Monotonic connection index shared with the thread core's spans.
+    // Monotonic connection index: the span unit for live tracing. (Live
+    // serving is inherently scheduling-dependent, so these spans are not
+    // part of the pipeline's byte-identical trace contract.)
     static CONN_SEQ: AtomicU64 = AtomicU64::new(0);
-    let idle_deadline = READ_TICK * idle_ticks.max(1);
+    let idle_deadline = READ_TICK * IDLE_TICKS;
     let stall_deadline = READ_TICK * STALL_BUDGET;
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = [0u8; SCRATCH];
@@ -557,7 +570,7 @@ fn event_loop(
             if !close {
                 // Deadlines, readiness-loop style: wall-clock since the
                 // socket last produced bytes, scaled to the same budgets
-                // the blocking cores count in ticks.
+                // `serve_stream` counts in ticks.
                 let quiet = conn.last_activity.elapsed();
                 if conn.state.at_boundary() && !conn.state.closing {
                     if quiet > idle_deadline {
@@ -598,6 +611,13 @@ fn event_loop(
         let _ = conn.state.flush_once(&mut conn.stream);
         finish_conn(conn, active);
     }
+}
+
+/// Record a wire fault into the metrics registry and, when a trace is
+/// live, as a quarantine event on the connection span.
+fn record_wire_trace(span: u64, e: &WireError) {
+    tangled_obs::registry::add("trustd.wire_faults", 1);
+    tangled_obs::trace::quarantine("trustd.conn", span, "wire", e.label(), 1);
 }
 
 fn finish_conn(conn: Conn, active: &Arc<AtomicUsize>) {
@@ -678,8 +698,7 @@ mod tests {
         wire::write_frame(&mut burst, &Request::Stats.encode()).unwrap();
         stream.inbox.extend(burst);
 
-        let stop = AtomicBool::new(false);
-        let served = serve_stream(&mut stream, &service, &stop, 10, 0);
+        let served = serve_stream(&mut stream, &service);
         assert_eq!(served, 2, "two decodable requests");
 
         let got = replies(&stream.outbox);
@@ -713,8 +732,7 @@ mod tests {
         wire::write_frame(&mut burst, &Request::Stats.encode()).unwrap();
         stream.inbox.extend(burst);
 
-        let stop = AtomicBool::new(false);
-        serve_stream(&mut stream, &service, &stop, 10, 0);
+        serve_stream(&mut stream, &service);
 
         let got = replies(&stream.outbox);
         assert_eq!(got.len(), 3);
@@ -741,8 +759,7 @@ mod tests {
         stream.inbox.extend(8u32.to_be_bytes());
         stream.inbox.extend(*b"1234");
 
-        let stop = AtomicBool::new(false);
-        let served = serve_stream(&mut stream, &service, &stop, 10, 0);
+        let served = serve_stream(&mut stream, &service);
         assert_eq!(served, 0);
         assert_eq!(
             replies(&stream.outbox),
@@ -762,16 +779,15 @@ mod tests {
             outbox: Vec::new(),
             eof_at_end: true,
         };
-        // Oversized header, body cut short by EOF: the thread core's
-        // failed-drain path writes the oversized reply and closes with
-        // exactly one recorded fault — so must this core.
+        // Oversized header, body cut short by EOF: the oversized reply
+        // goes out and the stream closes with exactly one recorded
+        // fault, not a second truncation fault.
         stream
             .inbox
             .extend(((MAX_FRAME + 1) as u32).to_be_bytes());
         stream.inbox.extend(vec![0x42u8; 100]);
 
-        let stop = AtomicBool::new(false);
-        serve_stream(&mut stream, &service, &stop, 10, 0);
+        serve_stream(&mut stream, &service);
         assert_eq!(
             replies(&stream.outbox),
             vec![Response::Error {
@@ -841,6 +857,39 @@ mod tests {
     }
 
     #[test]
+    fn event_server_oversized_frame_resyncs_connection() {
+        let service = Arc::new(TrustService::new(16));
+        let server =
+            EventServer::bind("127.0.0.1:0", Arc::clone(&service), 1).expect("bind");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+
+        // Hand-rolled oversized frame (the client refuses to build one):
+        // header declares MAX_FRAME + 1 bytes, body follows in full.
+        let len = MAX_FRAME + 1;
+        stream.write_all(&(len as u32).to_be_bytes()).unwrap();
+        stream.write_all(&vec![0x42u8; len]).unwrap();
+        // Followed, on the same socket, by a well-formed request.
+        wire::write_frame(&mut stream, &Request::Stats.encode()).unwrap();
+
+        // First reply: the classified oversized-frame error.
+        let body = wire::read_frame(&mut stream).unwrap().expect("error reply");
+        assert_eq!(
+            Response::decode(&body).unwrap(),
+            Response::Error {
+                stage: "wire".into(),
+                error: "oversized-frame".into()
+            }
+        );
+        // Second reply: the stats answer — the multiplexed loop skipped
+        // the declared body and kept the connection.
+        let body = wire::read_frame(&mut stream).unwrap().expect("stats reply");
+        assert!(matches!(Response::decode(&body).unwrap(), Response::Stats(_)));
+
+        server.shutdown();
+        assert_eq!(service.stats().quarantined_total(), 1);
+    }
+
+    #[test]
     fn event_server_zero_backlog_sheds_with_busy() {
         let service = Arc::new(TrustService::new(16));
         let server = EventServer::bind_with(
@@ -849,7 +898,6 @@ mod tests {
             ServerConfig {
                 workers: 1,
                 backlog: 0,
-                ..ServerConfig::default()
             },
         )
         .expect("bind");

@@ -3,9 +3,10 @@
 //!
 //! The analysis crates answer trust questions in batch — build a study,
 //! run it, read the tables. `trustd` turns the same decision machinery
-//! into a long-lived query service: a multi-threaded TCP server (std
-//! only, no async runtime) speaking a length-prefixed JSON protocol with
-//! four request types mirroring the paper's four measurement angles:
+//! into a long-lived query service: a TCP server (std only, no async
+//! runtime) whose few readiness-loop threads multiplex every connection
+//! ([`event`]), speaking a length-prefixed JSON protocol with four
+//! request types mirroring the paper's four measurement angles:
 //!
 //! * `validate` — chain validation against a named device store profile
 //!   (§4's per-store validation counts, one chain at a time);
@@ -33,16 +34,15 @@ pub mod event;
 pub mod index;
 pub mod replay;
 pub mod resilient;
-pub mod server;
 pub mod service;
 pub mod stats;
 pub mod warm;
 pub mod wire;
 
 pub use cache::LruCache;
-pub use chaos::{ChaosReport, ChaosSpec, ServeCore};
+pub use chaos::{ChaosReport, ChaosSpec};
 pub use client::{ClientError, TrustClient};
-pub use event::{serve_stream, EventServer};
+pub use event::{serve_stream, EventServer, ServerConfig};
 pub use index::{StoreIndex, StoreProfile};
 pub use replay::{
     canonical, offline_verdicts, queries_for, replay, replay_pipelined, replay_resilient,
@@ -52,7 +52,6 @@ pub use replay::{
 pub use resilient::{
     Connect, ResilientClient, ResilientError, RetryPolicy, SwapOutcome, TcpConnector,
 };
-pub use server::{ServerConfig, TrustServer};
 pub use service::{TrustService, DEFAULT_CACHE_CAPACITY};
 pub use stats::{LatencyHistogram, ServiceStats};
 pub use warm::{

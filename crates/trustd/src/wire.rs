@@ -13,6 +13,7 @@
 
 use serde_json::{json, Value};
 use std::io::{self, Read, Write};
+use std::time::Duration;
 use tangled_pki::cacerts::CacertsFile;
 use tangled_pki::store::StoreSnapshot;
 use tangled_x509::pem::{base64_decode, base64_encode};
@@ -93,10 +94,14 @@ pub fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
+/// The socket read-timeout tick: the unit in which the idle and stall
+/// deadlines are counted, on both ends of a connection.
+pub(crate) const READ_TICK: Duration = Duration::from_millis(50);
+
 /// How many *consecutive* idle timeout ticks a mid-frame read tolerates
-/// before the peer is declared dead. 200 ticks ≈ tens of seconds at the
-/// server's poll interval — a stalled peer cannot pin a worker forever,
-/// but any progress resets the clock, so a slow-but-live peer is never
+/// before the peer is declared dead. 200 ticks ≈ ten seconds at
+/// [`READ_TICK`] — a stalled peer cannot pin a connection forever, but
+/// any progress resets the clock, so a slow-but-live peer is never
 /// misclassified as truncated.
 pub(crate) const STALL_BUDGET: u32 = 200;
 
@@ -156,37 +161,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     let mut body = vec![0u8; len];
     read_full(r, &mut body, false)?;
     Ok(Some(body))
-}
-
-/// Discard exactly `len` body bytes from the stream, leaving it at the
-/// next frame boundary. An oversized header is a *recoverable* protocol
-/// violation: the peer declared exactly where the next frame starts, so
-/// the server can reject the frame yet keep the connection. Stalls are
-/// bounded the same way as [`read_full`] ([`STALL_BUDGET`] consecutive
-/// idle ticks); EOF mid-drain is [`WireError::Truncated`].
-pub fn drain_frame_body(r: &mut impl Read, len: usize) -> Result<(), FrameError> {
-    let mut scratch = [0u8; 4096];
-    let mut remaining = len;
-    let mut stalls = 0u32;
-    while remaining > 0 {
-        let want = remaining.min(scratch.len());
-        match r.read(&mut scratch[..want]) {
-            Ok(0) => return Err(FrameError::Wire(WireError::Truncated)),
-            Ok(n) => {
-                remaining -= n;
-                stalls = 0;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(&e) => {
-                stalls += 1;
-                if stalls > STALL_BUDGET {
-                    return Err(FrameError::Wire(WireError::Truncated));
-                }
-            }
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(())
 }
 
 /// Write `buf` completely, tolerating short writes on a nonblocking (or
@@ -1142,24 +1116,6 @@ mod tests {
         };
         let err = write_frame(&mut w, b"0123456789").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-    }
-
-    #[test]
-    fn drain_frame_body_resynchronises_the_stream() {
-        // 10 000 junk bytes (an oversized frame's declared body), then a
-        // valid frame: draining must land exactly on the boundary.
-        let mut buf = vec![0xeeu8; 10_000];
-        write_frame(&mut buf, b"after").unwrap();
-        let mut r = Cursor::new(buf);
-        drain_frame_body(&mut r, 10_000).expect("drain succeeds");
-        assert_eq!(read_frame(&mut r).unwrap(), Some(b"after".to_vec()));
-
-        // EOF before the declared length is truncation.
-        let mut short = Cursor::new(vec![0u8; 9]);
-        assert!(matches!(
-            drain_frame_body(&mut short, 10),
-            Err(FrameError::Wire(WireError::Truncated))
-        ));
     }
 
     #[test]

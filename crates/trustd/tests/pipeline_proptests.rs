@@ -14,11 +14,10 @@
 
 use proptest::prelude::*;
 use std::io::{self, Read, Write};
-use std::sync::atomic::AtomicBool;
 use std::sync::OnceLock;
 use tangled_trustd::wire::{read_frame, write_frame, Request, Response, MAX_FRAME};
 use tangled_trustd::{
-    canonical, chaos, serve_stream, ChaosSpec, ServeCore, TrustService, DEFAULT_CACHE_CAPACITY,
+    canonical, chaos, serve_stream, ChaosSpec, TrustService, DEFAULT_CACHE_CAPACITY,
 };
 
 /// One shared service: profile installs are the expensive part and the
@@ -143,8 +142,7 @@ proptest! {
             .count() as u64;
 
         let mut stream = Duplex { input, pos: 0, output: Vec::new() };
-        let stop = AtomicBool::new(false);
-        let served = serve_stream(&mut stream, service(), &stop, 1000, 0);
+        let served = serve_stream(&mut stream, service());
         prop_assert_eq!(served, valid, "served counts decoded requests only");
 
         let mut cursor = io::Cursor::new(stream.output);
@@ -178,7 +176,6 @@ proptest! {
             requests: 8,
             rate: 1.0,
             busy_rate: 0.0,
-            core: ServeCore::Event,
             ..ChaosSpec::default()
         };
         let report = chaos::run(&spec);

@@ -21,13 +21,11 @@
 //! tangled snap materialize <chain...> <epoch> [--out <file>]
 //!                                    rebuild the full snapshot a base+delta
 //!                                    chain describes at a point in time
-//! tangled serve   <addr> [--core event|threads] [--snapshot F] [--journal F]
+//! tangled serve   <addr> [--snapshot F] [--journal F]
 //!                        [--compact-threshold BYTES]
-//!                                    run the trustd query server — by default
-//!                                    on the readiness-loop event core (a few
-//!                                    loop threads multiplexing every
-//!                                    connection), or thread-per-connection
-//!                                    with --core threads; with --snapshot,
+//!                                    run the trustd query server (a few
+//!                                    readiness-loop threads multiplexing
+//!                                    every connection); with --snapshot,
 //!                                    warm-start the reference profiles from a
 //!                                    study snapshot; with --journal, log
 //!                                    every swap write-ahead and replay the
@@ -70,8 +68,7 @@
 //!                                    snapshots: per-profile anchor churn,
 //!                                    Jaccard similarity, exactly-k migration
 //! tangled chaos   [--seed S] [--requests N] [--rate R]
-//!                 [--busy-rate B] [--attempts N] [--core threads|event]
-//!                 [--out FILE]
+//!                 [--busy-rate B] [--attempts N] [--out FILE]
 //!                                    drive a seeded client population through
 //!                                    a wire fault schedule against an
 //!                                    in-process server and assert the
@@ -126,8 +123,8 @@ use tangled_mass::snap::{
 use tangled_mass::trustd::{
     chaos, degraded_index_from_snapshot, index_from_chain, offline_verdicts, replay_journal,
     replay_pipelined, replay_resilient, verdict_fingerprint, ChaosSpec, EventServer,
-    LatencyHistogram, ReplayOp, ReplaySpec, Request, Response, ServeCore, StoreIndex, TrustClient,
-    TrustServer, TrustService, BATCH_DEPTH, DEFAULT_CACHE_CAPACITY,
+    LatencyHistogram, ReplayOp, ReplaySpec, Request, Response, StoreIndex, TrustClient,
+    TrustService, BATCH_DEPTH, DEFAULT_CACHE_CAPACITY,
 };
 use tangled_mass::x509::{sig_memo_clear, sig_memo_counters, sig_memo_len};
 
@@ -169,13 +166,12 @@ fn usage() -> String {
         "  snap materialize <chain...> <epoch> [--out <file>]",
         "                           materialise a base+delta chain at an epoch;",
         "                           with --out, write the full snapshot",
-        "  serve   <addr> [--core event|threads] [--snapshot F] [--journal F]",
-        "          [--compact-threshold BYTES]",
-        "                           run the trustd query server (event core by",
-        "                           default, thread-per-connection with --core",
-        "                           threads; warm start from a snapshot and a",
-        "                           <journal>.ckpt compaction checkpoint when",
-        "                           present; write-ahead journal for swaps;",
+        "  serve   <addr> [--snapshot F] [--journal F] [--compact-threshold BYTES]",
+        "                           run the trustd query server (readiness loops",
+        "                           multiplexing every connection; warm start",
+        "                           from a snapshot and a <journal>.ckpt",
+        "                           compaction checkpoint when present;",
+        "                           write-ahead journal for swaps;",
         "                           --compact-threshold folds the journal into",
         "                           the checkpoint once it crosses BYTES)",
         "  loadgen <addr> [--sessions N] [--seed S] [--op mixed|compare|batch|mitm]",
@@ -204,7 +200,7 @@ fn usage() -> String {
         "                           proxy, per-strategy conservation ledger and",
         "                           defect attribution, seed-reproducible",
         "  chaos   [--seed S] [--requests N] [--rate R] [--busy-rate B]",
-        "          [--attempts N] [--core threads|event] [--out FILE]",
+        "          [--attempts N] [--out FILE]",
         "                           deterministic wire-fault chaos run against an",
         "                           in-process server; asserts conservation",
         "  stats   [scale]          per-stage latency p50/p99, memo counters,",
@@ -640,10 +636,6 @@ fn cmd_serve(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
     let mut snapshot: Option<String> = None;
     let mut journal_path: Option<String> = None;
     let mut compact_threshold: Option<u64> = None;
-    // The event core is the default: a handful of readiness loops
-    // multiplex every connection. `--core threads` falls back to the
-    // thread-per-connection frame loop.
-    let mut core = ServeCore::Event;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let value = |v: Option<&String>| {
@@ -665,11 +657,7 @@ fn cmd_serve(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
                 }
                 compact_threshold = Some(bytes);
             }
-            "--core" => core = value(it.next())?.parse().map_err(CliError::Usage)?,
-            other => match other.strip_prefix("--core=") {
-                Some(name) => core = name.parse().map_err(CliError::Usage)?,
-                None => return Err(CliError::Usage(format!("unknown serve flag '{other}'"))),
-            },
+            other => return Err(CliError::Usage(format!("unknown serve flag '{other}'"))),
         }
     }
     if compact_threshold.is_some() && journal_path.is_none() {
@@ -785,28 +773,14 @@ fn cmd_serve(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
         .unwrap_or(4)
         .min(8);
     // The flushed "trustd listening on" line is what the loadgen smoke
-    // test greps for; both cores print the same prefix. The bound server
-    // must stay in scope for the lifetime of the process.
-    let _server: Box<dyn std::any::Any> = match core {
-        ServeCore::Event => {
-            let server = EventServer::bind(addr.as_str(), service, workers)
-                .map_err(|e| format!("binding {addr}: {e}"))?;
-            println!(
-                "trustd listening on {} ({workers} workers, event core)",
-                server.local_addr()
-            );
-            Box::new(server)
-        }
-        ServeCore::Threads => {
-            let server = TrustServer::bind(addr.as_str(), service, workers)
-                .map_err(|e| format!("binding {addr}: {e}"))?;
-            println!(
-                "trustd listening on {} ({workers} workers, thread core)",
-                server.local_addr()
-            );
-            Box::new(server)
-        }
-    };
+    // test and perfbench parse. The bound server must stay in scope for
+    // the lifetime of the process.
+    let server = EventServer::bind(addr.as_str(), service, workers)
+        .map_err(|e| format!("binding {addr}: {e}"))?;
+    println!(
+        "trustd listening on {} ({workers} workers, event core)",
+        server.local_addr()
+    );
     // Serve until killed.
     loop {
         std::thread::park();
@@ -1305,22 +1279,17 @@ fn cmd_chaos(rest: &[String]) -> Result<(), CliError> {
                     })?;
             }
             "--out" => out = Some(value(it.next())?),
-            "--core" => spec.core = value(it.next())?.parse().map_err(CliError::Usage)?,
-            other => match other.strip_prefix("--core=") {
-                Some(name) => spec.core = name.parse().map_err(CliError::Usage)?,
-                None => return Err(CliError::Usage(format!("unknown chaos flag '{other}'"))),
-            },
+            other => return Err(CliError::Usage(format!("unknown chaos flag '{other}'"))),
         }
     }
 
     eprintln!(
-        "chaos: seed {} · {} requests · fault rate {} · busy rate {} · {} attempts · {} core",
+        "chaos: seed {} · {} requests · fault rate {} · busy rate {} · {} attempts",
         spec.seed,
         spec.requests,
         spec.rate,
         spec.busy_rate,
         spec.max_attempts,
-        spec.core.label()
     );
     let report = chaos::run(&spec);
     match &out {

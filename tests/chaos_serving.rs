@@ -9,8 +9,8 @@ use tangled_mass::faults::chaos::WireFaultKind;
 use tangled_mass::snap::{write_study, SectionId, Snapshot};
 use tangled_mass::trustd::{
     chaos, degraded_index_from_snapshot, offline_verdicts, replay_resilient, ChaosSpec, Connect,
-    ReplaySpec, Request, ResilientClient, ResilientError, RetryPolicy, ServerConfig, TcpConnector,
-    TrustServer, TrustService, DEFAULT_CACHE_CAPACITY,
+    EventServer, ReplaySpec, Request, ResilientClient, ResilientError, RetryPolicy, ServerConfig,
+    TcpConnector, TrustService, DEFAULT_CACHE_CAPACITY,
 };
 use tangled_mass::trustd::wire::{ChainVerdict, Response};
 
@@ -43,6 +43,41 @@ fn chaos_harness_is_deterministic_and_conserved() {
     );
 }
 
+/// The CI chaos spec (`tangled chaos --seed 42 --requests 120 --rate 0.25
+/// --busy-rate 0.1`) pinned across commits: its tallies and per-kind
+/// fault counts are golden, so a change to the serving loop, the fault
+/// schedule or the retry policy that moves the ledger shows up here.
+#[test]
+fn ci_chaos_spec_ledger_is_golden() {
+    let spec = ChaosSpec {
+        seed: 42,
+        requests: 120,
+        rate: 0.25,
+        busy_rate: 0.1,
+        ..ChaosSpec::default()
+    };
+    let report = chaos::run(&spec);
+    let tail: Vec<&str> = report
+        .ledger
+        .lines()
+        .filter(|l| l.starts_with("summary:") || l.starts_with("fault:"))
+        .collect();
+    assert_eq!(
+        tail,
+        [
+            "summary: issued=120 answered=120 shed=0 failed=0 violations=0 retries=34",
+            "fault: wire-bit-flip=4",
+            "fault: wire-disconnect=7",
+            "fault: wire-duplicate-frame=3",
+            "fault: wire-garbage-header=10",
+            "fault: wire-partial-write=7",
+            "fault: wire-trickle=5",
+        ],
+        "golden chaos ledger moved:\n{}",
+        report.ledger
+    );
+}
+
 /// Lossy wire faults over *real* TCP: the resilient client retries
 /// through disconnects, partial writes and trickled bytes, and the
 /// served verdicts still match the offline study byte for byte — faults
@@ -53,7 +88,7 @@ fn lossy_chaos_over_tcp_preserves_verdicts() {
     let expected = offline_verdicts(&spec);
 
     let service = Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
-    let server = TrustServer::bind("127.0.0.1:0", Arc::clone(&service), 4).expect("bind");
+    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service), 4).expect("bind");
     let outcome =
         replay_resilient(server.local_addr(), &spec, 11, 0.3).expect("chaos replay");
     server.shutdown();
@@ -81,13 +116,12 @@ fn lossy_chaos_over_tcp_preserves_verdicts() {
 #[test]
 fn zero_backlog_shedding_is_classified() {
     let service = Arc::new(TrustService::new(16));
-    let server = TrustServer::bind_with(
+    let server = EventServer::bind_with(
         "127.0.0.1:0",
         Arc::clone(&service),
         ServerConfig {
             workers: 1,
             backlog: 0,
-            ..ServerConfig::default()
         },
     )
     .expect("bind");

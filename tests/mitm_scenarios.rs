@@ -10,7 +10,7 @@ use std::sync::Arc;
 use tangled_mass::exec::set_thread_override;
 use tangled_mass::intercept::DefectClass;
 use tangled_mass::scenario::{compute, replay_mitm, MintStrategy, ScenarioSpec};
-use tangled_mass::trustd::{TrustServer, TrustService, DEFAULT_CACHE_CAPACITY};
+use tangled_mass::trustd::{EventServer, TrustService, DEFAULT_CACHE_CAPACITY};
 
 #[test]
 fn scenario_report_is_deterministic_and_served_replay_matches() {
@@ -63,7 +63,7 @@ fn scenario_report_is_deterministic_and_served_replay_matches() {
     // idempotent probe_session op, pipelined. Fingerprint and ledger
     // must match the offline report exactly.
     let service = Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
-    let server = TrustServer::bind("127.0.0.1:0", Arc::clone(&service), 4).expect("bind");
+    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service), 4).expect("bind");
     let outcome = replay_mitm(server.local_addr(), &spec, 8).expect("served replay");
     server.shutdown();
 

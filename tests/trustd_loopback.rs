@@ -9,7 +9,7 @@ use tangled_mass::trustd::replay::{
     canonical, offline_verdicts, population, queries, replay, ReplaySpec,
 };
 use tangled_mass::trustd::wire::{ChainVerdict, Request, Response};
-use tangled_mass::trustd::{TrustClient, TrustServer, TrustService, DEFAULT_CACHE_CAPACITY};
+use tangled_mass::trustd::{EventServer, TrustClient, TrustService, DEFAULT_CACHE_CAPACITY};
 
 /// One server + replay pass over a 100-session seeded population: served
 /// verdicts must equal the offline verdicts exactly, the memo cache must
@@ -21,7 +21,7 @@ fn replay_matches_offline_study_exactly() {
     assert!(!expected.is_empty());
 
     let service = Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
-    let server = TrustServer::bind("127.0.0.1:0", Arc::clone(&service), 4).expect("bind");
+    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service), 4).expect("bind");
     let outcome = replay(server.local_addr(), &spec).expect("replay");
     server.shutdown();
 
@@ -69,7 +69,7 @@ fn stats_are_deterministic_for_a_fixed_seed() {
 #[test]
 fn wire_faults_quarantine_without_killing_the_session() {
     let service = Arc::new(TrustService::new(16));
-    let server = TrustServer::bind("127.0.0.1:0", Arc::clone(&service), 1).expect("bind");
+    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service), 1).expect("bind");
     let mut client =
         TrustClient::connect_retry(server.local_addr(), Duration::from_secs(5)).expect("connect");
 
@@ -113,7 +113,7 @@ fn wire_faults_quarantine_without_killing_the_session() {
 #[test]
 fn swap_over_the_wire_flips_verdicts() {
     let service = Arc::new(TrustService::new(64));
-    let server = TrustServer::bind("127.0.0.1:0", Arc::clone(&service), 2).expect("bind");
+    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service), 2).expect("bind");
     let mut client =
         TrustClient::connect_retry(server.local_addr(), Duration::from_secs(5)).expect("connect");
 

@@ -12,7 +12,7 @@ use tangled_mass::trustd::replay::canonical;
 use tangled_mass::trustd::wire::{Request, Response};
 use tangled_mass::trustd::{
     degraded_index_from_snapshot, index_from_chain, index_from_snapshot, offline_verdicts,
-    queries_for, replay, replay_journal, verdict_fingerprint, ReplayOp, ReplaySpec, TrustServer,
+    queries_for, replay, replay_journal, verdict_fingerprint, EventServer, ReplayOp, ReplaySpec,
     TrustService, DEFAULT_CACHE_CAPACITY,
 };
 
@@ -227,7 +227,7 @@ fn compare_replies_match_offline_vectors_across_warm_and_degraded_starts() {
     // Live TCP replay against a cold server.
     let service = std::sync::Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
     let server =
-        TrustServer::bind("127.0.0.1:0", std::sync::Arc::clone(&service), 2).expect("bind");
+        EventServer::bind("127.0.0.1:0", std::sync::Arc::clone(&service), 2).expect("bind");
     let outcome = replay(server.local_addr(), &spec).expect("replay");
     server.shutdown();
     assert_eq!(
