@@ -23,22 +23,16 @@
 //! verdict-for-verdict by construction.
 
 pub mod mint;
-pub mod serve;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use tangled_crypto::rng::SplitMix64;
 use tangled_exec::{split_seed, ExecPool};
 use tangled_intercept::DefectClass;
-use tangled_trustd::{
-    canonical, scale_for_sessions, verdict_fingerprint, Request, Response, TrustService,
-    DEFAULT_CACHE_CAPACITY,
-};
+use tangled_trustd::{offline_verdicts, scale_for_sessions, verdict_fingerprint, Request};
 
 pub use mint::{MintStrategy, ScenarioProxy};
-pub use serve::{replay_mitm, replay_mitm_chaos, MitmOutcome};
 
 /// Store profile the simulated devices run.
 pub const DEVICE_PROFILE: &str = "AOSP 4.4";
@@ -293,8 +287,8 @@ fn bucket(verdict: &str) -> Option<(&'static str, &str)> {
 }
 
 /// Tally a verdict vector (as produced by [`tangled_trustd::canonical`])
-/// into a [`ScenarioReport`]. Shared by the offline compute and the
-/// served replay so both paths summarise identically.
+/// into a [`ScenarioReport`]. Shared by the offline compute and a served
+/// replay so both paths summarise identically.
 pub fn tally(spec: &ScenarioSpec, verdicts: &[String]) -> ScenarioReport {
     let population = spec.population();
     let mut counts = vec![0usize; DefectClass::ALL.len()];
@@ -370,23 +364,12 @@ pub fn tally(spec: &ScenarioSpec, verdicts: &[String]) -> ScenarioReport {
     report
 }
 
-/// Run the whole scenario offline: plan, evaluate every session against
-/// a local [`TrustService`], and tally the ledger. Byte-reproducible
-/// from the seed at any pool width.
+/// Run the whole scenario offline: plan, answer every session through
+/// [`offline_verdicts`], and tally the ledger. Byte-reproducible from
+/// the seed at any pool width. A served run is the same plan through
+/// [`tangled_trustd::drive`], tallied the same way.
 pub fn compute(spec: &ScenarioSpec) -> Result<ScenarioReport, tangled_intercept::MintError> {
-    let requests = plan(spec)?;
-    let service = Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
-    let pool = ExecPool::current();
-    let verdicts = pool.par_map_indexed(&requests, |_, req| canonical(&service.handle(req)));
-    Ok(tally(spec, &verdicts))
-}
-
-/// Convenience: outcome of a single response, for spot checks.
-pub fn outcome_of(resp: &Response) -> Option<String> {
-    match resp {
-        Response::ProbeSession { outcome } => Some(outcome.clone()),
-        _ => None,
-    }
+    Ok(tally(spec, &offline_verdicts(&plan(spec)?)))
 }
 
 #[cfg(test)]

@@ -66,18 +66,21 @@ pub struct TrustClient<S = TcpStream> {
     response_ticks: u32,
 }
 
+/// Open a TCP socket with the client deadline discipline: no-delay, a
+/// [`READ_TICK`] read timeout and a [`WRITE_BUDGET`] write timeout. Every
+/// client-side socket — plain or under a chaos wrapper — is opened here.
+pub(crate) fn dial(addr: impl ToSocketAddrs) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(READ_TICK))?;
+    stream.set_write_timeout(Some(WRITE_BUDGET))?;
+    Ok(stream)
+}
+
 impl TrustClient<TcpStream> {
-    /// Connect once, with the full deadline discipline: no-delay, a
-    /// [`READ_TICK`] read timeout and a bounded write timeout.
+    /// Connect once, over a [`dial`]led socket.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TrustClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(READ_TICK))?;
-        stream.set_write_timeout(Some(WRITE_BUDGET))?;
-        Ok(TrustClient {
-            stream,
-            response_ticks: DEFAULT_RESPONSE_TICKS,
-        })
+        Ok(TrustClient::from_stream(dial(addr)?))
     }
 
     /// Connect with retries until `deadline` elapses — for racing a

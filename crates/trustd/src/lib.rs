@@ -39,23 +39,18 @@ pub mod stats;
 pub mod warm;
 pub mod wire;
 
-pub use cache::LruCache;
-pub use chaos::{ChaosReport, ChaosSpec};
+pub use chaos::ChaosSpec;
 pub use client::{ClientError, TrustClient};
 pub use event::{serve_stream, EventServer, ServerConfig};
-pub use index::{StoreIndex, StoreProfile};
+pub use index::StoreIndex;
 pub use replay::{
-    canonical, offline_verdicts, queries_for, replay, replay_pipelined, replay_resilient,
-    scale_for_sessions, verdict_fingerprint, ReplayOp, ReplayOutcome, ReplaySpec,
-    ResilientOutcome, BATCH_DEPTH,
+    canonical, drive, offline_verdicts, queries_for, scale_for_sessions, verdict_fingerprint, Link,
+    ReplayOp, ReplayOutcome, ReplaySpec, BATCH_DEPTH,
 };
-pub use resilient::{
-    Connect, ResilientClient, ResilientError, RetryPolicy, SwapOutcome, TcpConnector,
-};
+pub use resilient::{Connect, ResilientClient, ResilientError, RetryPolicy, TcpConnector};
 pub use service::{TrustService, DEFAULT_CACHE_CAPACITY};
-pub use stats::{LatencyHistogram, ServiceStats};
+pub use stats::LatencyHistogram;
 pub use warm::{
     degraded_index_from_snapshot, index_from_chain, index_from_snapshot, replay_journal,
-    ChainStart, DegradedStart, ReplaySummary,
 };
 pub use wire::{ChainVerdict, FrameError, Request, Response, WireError, MAX_FRAME};

@@ -1,22 +1,32 @@
-//! Deterministic load generation over the Netalyzr population.
+//! Deterministic load generation and the two drivers that run it.
 //!
-//! [`queries`] derives a reproducible request mix from a seeded
-//! [`Population`]: every session validates an origin chain against its
-//! device's AOSP profile, with classify/audit/probe requests interleaved
-//! on fixed session strides. The same [`ReplaySpec`] therefore produces
-//! the same requests in the same order every time — which is what lets
-//! the loadgen CLI assert that served verdicts are *byte-identical* to
-//! [`offline_verdicts`] computed without any server at all.
+//! Every workload here is a plan: a `Vec<Request>` built from a seed.
+//! [`queries_for`] plans the Netalyzr mixes from a [`ReplaySpec`] —
+//! every session validates an origin chain against its device's AOSP
+//! profile, with classify/audit/probe requests interleaved on fixed
+//! session strides — and other engines (the interception scenarios)
+//! plan their own. A plan then runs through one of two drivers:
+//!
+//! * [`offline_verdicts`] answers it with a local [`TrustService`], no
+//!   server involved, sharded over the ambient [`ExecPool`];
+//! * [`drive`] replays it against a live server over a clean keep-alive
+//!   [`Link`] or one with seeded lossy wire faults.
+//!
+//! Both reduce every reply to its [`canonical`] string, so a served run
+//! must match the offline run byte for byte, and one
+//! [`verdict_fingerprint`] names the whole verdict vector.
 
-use crate::client::TrustClient;
+use crate::client::{dial, TrustClient};
 use crate::resilient::{Connect, ResilientClient, RetryPolicy, TcpConnector};
 use crate::service::{profile_for_version, TrustService, DEFAULT_CACHE_CAPACITY};
 use crate::wire::{ChainVerdict, Request, Response};
 use serde_json::Value;
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use tangled_exec::ExecPool;
 use tangled_faults::chaos::{ChaosPlan, ChaosStream, WireFaultKind, WireLedger};
 use tangled_intercept::origin::OriginServers;
 use tangled_intercept::policy::Target;
@@ -77,25 +87,6 @@ impl ReplaySpec {
 /// `tangled disparity <scale>` line up on the same chain corpus.
 pub fn scale_for_sessions(sessions: usize) -> f64 {
     ((sessions as f64 / FULL_SESSIONS) * 1.25).clamp(0.02, 1.0)
-}
-
-/// The outcome of one replay run.
-pub struct ReplayOutcome {
-    /// Canonical verdict strings, one per request, in request order.
-    pub verdicts: Vec<String>,
-    /// Requests sent.
-    pub requests: usize,
-    /// `error` responses with stage `wire` (protocol errors).
-    pub wire_errors: usize,
-    /// TCP connections opened. Keep-alive reuse makes this 1 on a clean
-    /// run regardless of session count — the loadgen summary reports it
-    /// next to the request count so connect cost can never masquerade as
-    /// server cost again.
-    pub connects: u64,
-    /// Wall-clock time spent replaying.
-    pub elapsed: Duration,
-    /// The server's stats document, fetched after the replay.
-    pub stats: Value,
 }
 
 /// Generate the population for a spec: scaled so at least `sessions`
@@ -176,34 +167,20 @@ pub fn compare_queries(spec: &ReplaySpec) -> Vec<Request> {
         .collect()
 }
 
-/// The `batch_validate` request mix: the same per-session validate
-/// stream as the mixed mix, grouped into per-profile batches of up to
-/// [`BATCH_DEPTH`] chains. Batches flush in arrival order when full; the
-/// remainders flush in sorted profile order — deterministic, so the
-/// served replay can be fingerprinted against [`offline_verdicts`].
+/// The `batch_validate` request mix: the validate stream of [`queries`],
+/// grouped into per-profile batches of up to [`BATCH_DEPTH`] chains.
+/// Batches flush in arrival order when full; the remainders flush in
+/// sorted profile order — deterministic, so the served replay can be
+/// fingerprinted against [`offline_verdicts`].
 pub fn batch_queries(pop: &Population, spec: &ReplaySpec) -> Vec<Request> {
-    let origin = OriginServers::for_table6();
-    let mut targets: Vec<Target> = origin.targets().cloned().collect();
-    targets.sort_by_key(|t| t.to_string());
-
-    let chain_for = |t: &Target| -> Vec<Vec<u8>> {
-        origin
-            .chain(t)
-            .expect("table 6 target has a chain")
-            .iter()
-            .map(|c| c.to_der().to_vec())
-            .collect()
-    };
-
     let mut out = Vec::new();
-    let mut pending: std::collections::BTreeMap<String, Vec<Vec<Vec<u8>>>> =
-        std::collections::BTreeMap::new();
-    for session in pop.sessions.iter().take(spec.sessions) {
-        let device = pop.device_of(session);
-        let profile = profile_for_version(device.os_version).to_owned();
-        let target = &targets[session.index as usize % targets.len()];
+    let mut pending: BTreeMap<String, Vec<Vec<Vec<u8>>>> = BTreeMap::new();
+    for req in queries(pop, spec) {
+        let Request::Validate { profile, chain } = req else {
+            continue;
+        };
         let chains = pending.entry(profile.clone()).or_default();
-        chains.push(chain_for(target));
+        chains.push(chain);
         if chains.len() >= BATCH_DEPTH {
             out.push(Request::BatchValidate {
                 profile,
@@ -211,11 +188,12 @@ pub fn batch_queries(pop: &Population, spec: &ReplaySpec) -> Vec<Request> {
             });
         }
     }
-    for (profile, chains) in pending {
-        if !chains.is_empty() {
-            out.push(Request::BatchValidate { profile, chains });
-        }
-    }
+    out.extend(
+        pending
+            .into_iter()
+            .filter(|(_, chains)| !chains.is_empty())
+            .map(|(profile, chains)| Request::BatchValidate { profile, chains }),
+    );
     out
 }
 
@@ -307,101 +285,56 @@ pub fn canonical(resp: &Response) -> String {
     }
 }
 
-/// Compute the replay's expected verdicts with no server involved: build
-/// a local [`TrustService`] and run every request through
-/// [`TrustService::handle`] directly.
-pub fn offline_verdicts(spec: &ReplaySpec) -> Vec<String> {
+/// The offline driver: answer a plan with a local [`TrustService`] —
+/// every request through [`TrustService::handle`], no server involved —
+/// sharded over the ambient [`ExecPool`]. Verdicts merge in request
+/// order, so the result is the same at any pool width.
+pub fn offline_verdicts(requests: &[Request]) -> Vec<String> {
     let service = TrustService::new(DEFAULT_CACHE_CAPACITY);
-    queries_for(spec)
-        .iter()
-        .map(|req| canonical(&service.handle(req)))
-        .collect()
+    ExecPool::current().par_map_indexed(requests, |_, req| canonical(&service.handle(req)))
 }
 
-/// Replay a spec against a live server, serially (pipeline depth 1).
-pub fn replay(
-    addr: impl ToSocketAddrs + Clone,
-    spec: &ReplaySpec,
-) -> Result<ReplayOutcome, String> {
-    replay_pipelined(addr, spec, 1)
+/// How [`drive`] reaches the server.
+#[derive(Debug, Clone, Copy)]
+pub enum Link {
+    /// One kept-alive connection carrying pipelined chunks of `depth`
+    /// requests, retried under the serving backoff seeded by `seed`.
+    Clean {
+        /// Requests written per round trip (1 = serial).
+        depth: usize,
+        /// Retry-jitter seed.
+        seed: u64,
+    },
+    /// Seeded *lossy* wire faults ([`WireFaultKind::LOSSY`] — disconnect,
+    /// partial write, trickle) injected client-side at `rate`, one
+    /// request per round trip. A lossy fault can delay or destroy a
+    /// request in transit but never deliver a corrupted one, so the
+    /// verdicts must still match [`offline_verdicts`]: faults cost
+    /// retries, not answers.
+    Lossy {
+        /// Fault-schedule seed (also the retry-jitter seed).
+        seed: u64,
+        /// Per-frame injection probability.
+        rate: f64,
+    },
 }
 
-/// Replay a spec against a live server with request pipelining: requests
-/// go out in chunks of `depth` frames before any reply is read, over one
-/// kept-alive connection (the [`ResilientClient`] holds the connection
-/// across calls and only reopens it after a failure — loadgen measures
-/// server cost, not connect cost). Every mix this replays is idempotent,
-/// so a failed chunk is safely re-sent whole.
-pub fn replay_pipelined(
-    addr: impl ToSocketAddrs + Clone,
-    spec: &ReplaySpec,
-    depth: usize,
-) -> Result<ReplayOutcome, String> {
-    // Race a server that is still binding (the CI smoke starts it in the
-    // background): probe until it accepts, then hand the address to the
-    // keep-alive client.
-    let probe = TrustClient::connect_retry(addr.clone(), Duration::from_secs(5))
-        .map_err(|e| format!("server never came up: {e}"))?;
-    drop(probe);
-    let addr = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolving address: {e}"))?
-        .next()
-        .ok_or("address resolved to nothing")?;
-    let mut client =
-        ResilientClient::new(TcpConnector::new(addr), RetryPolicy::new(spec.seed));
-
-    let requests = queries_for(spec);
-    let depth = depth.max(1);
-    let started = Instant::now();
-    let mut verdicts = Vec::with_capacity(requests.len());
-    let mut wire_errors = 0usize;
-    for chunk in requests.chunks(depth) {
-        let replies = client
-            .call_pipelined(chunk)
-            .map_err(|e| format!("replay chunk: {e}"))?;
-        for resp in &replies {
-            if matches!(resp, Response::Error { stage, .. } if stage == "wire") {
-                wire_errors += 1;
-            }
-            verdicts.push(canonical(resp));
-        }
-    }
-    let elapsed = started.elapsed();
-
-    let stats = match client
-        .call(&Request::Stats)
-        .map_err(|e| format!("fetching stats: {e}"))?
-    {
-        Response::Stats(doc) => doc,
-        _ => return Err("unexpected stats reply".into()),
-    };
-
-    Ok(ReplayOutcome {
-        requests: requests.len(),
-        verdicts,
-        wire_errors,
-        connects: client.reconnects(),
-        elapsed,
-        stats,
-    })
-}
-
-/// Outcome of a chaos replay through the resilient client.
-pub struct ResilientOutcome {
+/// The outcome of one served replay.
+pub struct ReplayOutcome {
     /// Canonical verdict strings, one per request, in request order.
     pub verdicts: Vec<String>,
-    /// Requests issued (each may have taken several attempts).
+    /// Requests sent (each may have taken several attempts).
     pub requests: usize,
     /// `error` responses with stage `wire` (protocol errors).
     pub wire_errors: usize,
+    /// TCP connections opened: 1 on a clean run regardless of request
+    /// count (keep-alive), plus one per fault-forced reconnect.
+    pub connects: u64,
     /// Retry attempts beyond first tries.
     pub retries: u64,
     /// `busy` sheds absorbed by the retry loop.
     pub busy: u64,
-    /// Connections opened (1 plus one per fault-forced reconnect).
-    pub reconnects: u64,
-    /// Wire faults injected by the chaos wrapper.
+    /// Wire faults injected client-side (0 on a clean link).
     pub faults: usize,
     /// Wall-clock time spent replaying.
     pub elapsed: Duration,
@@ -423,10 +356,7 @@ impl Connect for ChaosConnector {
     type Stream = ChaosStream<TcpStream>;
 
     fn connect(&mut self) -> io::Result<TrustClient<ChaosStream<TcpStream>>> {
-        let stream = TcpStream::connect(self.addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-        stream.set_write_timeout(Some(Duration::from_secs(5)))?;
+        let stream = dial(self.addr)?;
         self.salt += 1;
         Ok(TrustClient::from_stream(ChaosStream::with_ledger(
             stream,
@@ -437,57 +367,74 @@ impl Connect for ChaosConnector {
     }
 }
 
-/// Replay a spec against a live server through the [`ResilientClient`],
-/// with seeded wire faults injected on the client side.
-///
-/// Only the *lossy* fault kinds ([`WireFaultKind::LOSSY`] — disconnect,
-/// partial write, trickle) are scheduled: they can delay or destroy a
-/// request in transit but never deliver a *corrupted* one, so every
-/// request the server executes is exact and the replay's verdicts must
-/// still match [`offline_verdicts`] byte for byte. That is the whole
-/// point: faults cost retries, not answers. The query mix is pure
-/// (validate/classify/audit/probe), so blind retries are safe under the
-/// idempotency rules.
-pub fn replay_resilient(
-    addr: impl ToSocketAddrs,
-    spec: &ReplaySpec,
-    chaos_seed: u64,
-    chaos_rate: f64,
-) -> Result<ResilientOutcome, String> {
+/// The served driver: replay a plan against a live server and collect
+/// the canonical verdicts. Waits for a server that is still binding (the
+/// CI smoke starts it in the background), then sends `requests` in
+/// chunks through the [`ResilientClient`], which keeps one connection
+/// alive and reopens it only after a failure. Every plan this replays is
+/// idempotent, so a failed chunk is safely re-sent whole.
+pub fn drive(
+    addr: impl ToSocketAddrs + Clone,
+    requests: &[Request],
+    link: Link,
+) -> Result<ReplayOutcome, String> {
+    drop(
+        TrustClient::connect_retry(addr.clone(), Duration::from_secs(5))
+            .map_err(|e| format!("server never came up: {e}"))?,
+    );
     let addr = addr
         .to_socket_addrs()
         .map_err(|e| format!("resolving address: {e}"))?
         .next()
         .ok_or("address resolved to nothing")?;
-    let ledger: WireLedger = Arc::new(Mutex::new(Vec::new()));
-    let plan = ChaosPlan::new(chaos_seed)
-        .with_rate(chaos_rate)
-        .only(&WireFaultKind::LOSSY);
-    let connector = ChaosConnector {
-        addr,
-        plan,
-        salt: 0,
-        ledger: Arc::clone(&ledger),
-    };
-    // Zero backoff delay (the smoke test runs under CI wall-clock), but a
-    // deeper attempt budget than the serving default: at injection rates
-    // this high, four attempts of a breaking fault in a row is plausible.
-    let policy = RetryPolicy {
-        max_attempts: 8,
-        ..RetryPolicy::immediate(chaos_seed)
-    };
-    let mut client = ResilientClient::new(connector, policy);
+    match link {
+        Link::Clean { depth, seed } => {
+            let client = ResilientClient::new(TcpConnector::new(addr), RetryPolicy::new(seed));
+            run(client, requests, depth, None)
+        }
+        Link::Lossy { seed, rate } => {
+            let ledger: WireLedger = Arc::new(Mutex::new(Vec::new()));
+            let connector = ChaosConnector {
+                addr,
+                plan: ChaosPlan::new(seed)
+                    .with_rate(rate)
+                    .only(&WireFaultKind::LOSSY),
+                salt: 0,
+                ledger: Arc::clone(&ledger),
+            };
+            // Zero backoff delay (the smoke runs under CI wall-clock), but
+            // a deeper attempt budget than the serving default: at rates
+            // this high, four breaking faults in a row are plausible.
+            let policy = RetryPolicy {
+                max_attempts: 8,
+                ..RetryPolicy::immediate(seed)
+            };
+            let client = ResilientClient::new(connector, policy);
+            run(client, requests, 1, Some(ledger))
+        }
+    }
+}
 
-    let requests = queries_for(spec);
+/// [`drive`]'s loop, generic over the connection type.
+fn run<C: Connect>(
+    mut client: ResilientClient<C>,
+    requests: &[Request],
+    depth: usize,
+    ledger: Option<WireLedger>,
+) -> Result<ReplayOutcome, String> {
     let started = Instant::now();
     let mut verdicts = Vec::with_capacity(requests.len());
     let mut wire_errors = 0usize;
-    for req in &requests {
-        let resp = client.call(req).map_err(|e| format!("chaos replay: {e}"))?;
-        if matches!(&resp, Response::Error { stage, .. } if stage == "wire") {
-            wire_errors += 1;
+    for chunk in requests.chunks(depth.max(1)) {
+        let replies = client
+            .call_pipelined(chunk)
+            .map_err(|e| format!("replay chunk: {e}"))?;
+        for resp in &replies {
+            if matches!(resp, Response::Error { stage, .. } if stage == "wire") {
+                wire_errors += 1;
+            }
+            verdicts.push(canonical(resp));
         }
-        verdicts.push(canonical(&resp));
     }
     let elapsed = started.elapsed();
 
@@ -498,15 +445,14 @@ pub fn replay_resilient(
         Response::Stats(doc) => doc,
         _ => return Err("unexpected stats reply".into()),
     };
-    let faults = ledger.lock().map(|l| l.len()).unwrap_or(0);
-    Ok(ResilientOutcome {
-        requests: requests.len(),
+    Ok(ReplayOutcome {
         verdicts,
+        requests: requests.len(),
         wire_errors,
+        connects: client.reconnects(),
         retries: client.retries(),
         busy: client.busy_count(),
-        reconnects: client.reconnects(),
-        faults,
+        faults: ledger.map_or(0, |l| l.lock().map(|l| l.len()).unwrap_or(0)),
         elapsed,
         stats,
     })
@@ -539,8 +485,8 @@ mod tests {
 
     #[test]
     fn offline_verdicts_are_reproducible() {
-        let spec = ReplaySpec::new(7, 40);
-        assert_eq!(offline_verdicts(&spec), offline_verdicts(&spec));
+        let requests = queries_for(&ReplaySpec::new(7, 40));
+        assert_eq!(offline_verdicts(&requests), offline_verdicts(&requests));
     }
 
     #[test]
@@ -551,14 +497,14 @@ mod tests {
         assert!(qs.iter().all(|q| q.kind() == "compare"));
         assert_eq!(qs, queries_for(&spec), "same spec, same queries");
 
-        let offline = offline_verdicts(&spec);
+        let offline = offline_verdicts(&qs);
         assert_eq!(offline.len(), qs.len());
         // Every reply carries the full 10-store vector (9 separators).
         assert!(offline
             .iter()
             .all(|v| v.starts_with("compare/") && v.matches('|').count() == 9));
         let fp = verdict_fingerprint(&offline);
-        assert_eq!(fp, verdict_fingerprint(&offline_verdicts(&spec)));
+        assert_eq!(fp, verdict_fingerprint(&offline_verdicts(&qs)));
     }
 
     #[test]
@@ -600,7 +546,7 @@ mod tests {
                 assert!(!chains.is_empty() && chains.len() <= BATCH_DEPTH);
             }
         }
-        let offline = offline_verdicts(&spec);
+        let offline = offline_verdicts(&qs);
         assert_eq!(offline.len(), qs.len());
         assert!(offline.iter().all(|v| v.starts_with("batch_validate/")));
     }

@@ -36,25 +36,27 @@
 //! tangled loadgen <addr> [--sessions N] [--seed S]
 //!                        [--op mixed|compare|batch|mitm] [--pipeline N]
 //!                        [--chaos-rate R] [--chaos-seed S] [--swaps N]
-//!                                    replay a seeded population against a
-//!                                    server and verify the verdicts over one
-//!                                    keep-alive connection; with --pipeline,
-//!                                    burst N requests per write window; with
-//!                                    --op compare, drive the disparity
-//!                                    engine's per-chain verdict vectors and
-//!                                    print their fingerprint; with --op
-//!                                    batch, group the validate stream into
-//!                                    batch_validate frames; with
-//!                                    --chaos-rate, inject seeded lossy wire
-//!                                    faults client-side and recover through
-//!                                    the resilient retry client; with
+//!                                    plan a seeded workload, answer it
+//!                                    offline, replay it against a server
+//!                                    and check the served verdicts match;
+//!                                    --op picks the plan (the mixed
+//!                                    Netalyzr mix, the disparity engine's
+//!                                    compare vectors, the validate stream
+//!                                    grouped into batch_validate frames,
+//!                                    or the interception scenario's
+//!                                    probe_session plan) and the last
+//!                                    --op wins; every run prints one
+//!                                    report ending in the verdict-vector
+//!                                    fingerprint (mitm adds its
+//!                                    conservation line); --pipeline
+//!                                    bursts N requests per write window
+//!                                    over one keep-alive connection;
+//!                                    --chaos-rate injects seeded lossy
+//!                                    wire faults client-side, recovered
+//!                                    by the resilient retry client; with
 //!                                    --swaps, drive N store swaps of a
-//!                                    'canary' profile instead (exercises the
-//!                                    journal/compaction write path); with
-//!                                    --op mitm, replay the interception
-//!                                    scenario plan through probe_session and
-//!                                    cross-check the offline report's
-//!                                    fingerprint
+//!                                    'canary' profile instead (exercises
+//!                                    the journal/compaction write path)
 //! tangled mitm    [scale] [--seed S] adversarial interception scenarios: a
 //!                                    seeded defective-client population vs a
 //!                                    re-signing proxy, with per-strategy
@@ -121,10 +123,10 @@ use tangled_mass::snap::{
     TrustState,
 };
 use tangled_mass::trustd::{
-    chaos, degraded_index_from_snapshot, index_from_chain, offline_verdicts, replay_journal,
-    replay_pipelined, replay_resilient, verdict_fingerprint, ChaosSpec, EventServer,
-    LatencyHistogram, ReplayOp, ReplaySpec, Request, Response, StoreIndex, TrustClient,
-    TrustService, BATCH_DEPTH, DEFAULT_CACHE_CAPACITY,
+    chaos, degraded_index_from_snapshot, drive, index_from_chain, offline_verdicts, queries_for,
+    replay_journal, verdict_fingerprint, ChaosSpec, EventServer, LatencyHistogram, Link,
+    ReplayOp, ReplaySpec, Request, Response, StoreIndex, TrustClient, TrustService, BATCH_DEPTH,
+    DEFAULT_CACHE_CAPACITY,
 };
 use tangled_mass::x509::{sig_memo_clear, sig_memo_counters, sig_memo_len};
 
@@ -176,19 +178,17 @@ fn usage() -> String {
         "                           the checkpoint once it crosses BYTES)",
         "  loadgen <addr> [--sessions N] [--seed S] [--op mixed|compare|batch|mitm]",
         "          [--pipeline N] [--chaos-rate R] [--chaos-seed S] [--swaps N]",
-        "                           replay a seeded population against a server",
-        "                           over one keep-alive connection; --pipeline",
-        "                           bursts N requests per write window; --op",
-        "                           batch groups validates into batch_validate",
-        "                           frames; --op compare serves per-chain",
-        "                           verdict vectors and prints their",
-        "                           fingerprint; --op mitm replays the",
-        "                           interception scenario plan and cross-checks",
-        "                           the offline fingerprint; --chaos-rate",
-        "                           injects lossy wire faults recovered through",
-        "                           the resilient client; --swaps drives N",
-        "                           store swaps on the 'canary' profile instead",
-        "                           of a replay",
+        "                           plan a seeded workload (--op: mixed mix,",
+        "                           compare vectors, batch_validate frames or",
+        "                           the mitm scenario plan; last --op wins),",
+        "                           replay it against a server and check it",
+        "                           against the offline verdicts; one report",
+        "                           ending in the verdict-vector fingerprint;",
+        "                           --pipeline bursts N requests per write",
+        "                           window; --chaos-rate injects lossy wire",
+        "                           faults recovered through the resilient",
+        "                           client; --swaps drives N store swaps on",
+        "                           the 'canary' profile instead of a replay",
         "  disparity [scale]        cross-ecosystem root-store disparity report",
         "  disparity --from A --to B",
         "                           longitudinal drift between two materialised",
@@ -787,18 +787,49 @@ fn cmd_serve(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn cmd_loadgen(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
-    let addr = addr
-        .ok_or_else(|| CliError::Usage("loadgen needs a server address".into()))?
-        .clone();
-    let mut sessions = 100usize;
-    let mut seed = 2014u64;
-    let mut op = ReplayOp::Mixed;
-    let mut pipeline = 1usize;
-    let mut chaos_rate = 0.0f64;
-    let mut chaos_seed = 7u64;
-    let mut swaps: Option<usize> = None;
-    let mut mitm = false;
+/// What `loadgen --op` plans: one of the trustd request mixes, or the
+/// interception scenario plan.
+#[derive(Clone, Copy)]
+enum LoadOp {
+    Replay(ReplayOp),
+    Mitm,
+}
+
+/// `loadgen`'s flags, parsed. A repeated flag overrides the earlier one.
+struct LoadgenArgs {
+    sessions: usize,
+    seed: u64,
+    op: LoadOp,
+    pipeline: usize,
+    chaos_rate: f64,
+    chaos_seed: u64,
+    swaps: Option<usize>,
+}
+
+fn parse_op(v: &str) -> Result<LoadOp, CliError> {
+    Ok(match v {
+        "mixed" => LoadOp::Replay(ReplayOp::Mixed),
+        "compare" => LoadOp::Replay(ReplayOp::Compare),
+        "batch" => LoadOp::Replay(ReplayOp::Batch),
+        "mitm" => LoadOp::Mitm,
+        other => {
+            return Err(CliError::Usage(format!(
+                "invalid --op '{other}': want mixed|compare|batch|mitm"
+            )))
+        }
+    })
+}
+
+fn parse_loadgen(rest: &[String]) -> Result<LoadgenArgs, CliError> {
+    let mut args = LoadgenArgs {
+        sessions: 100,
+        seed: 2014,
+        op: LoadOp::Replay(ReplayOp::Mixed),
+        pipeline: 1,
+        chaos_rate: 0.0,
+        chaos_seed: 7,
+        swaps: None,
+    };
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let value = |v: Option<&String>| {
@@ -808,48 +839,29 @@ fn cmd_loadgen(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
         match flag.as_str() {
             "--sessions" => {
                 let v = value(it.next())?;
-                sessions = v.parse().map_err(|_| {
+                args.sessions = v.parse().map_err(|_| {
                     CliError::Usage(format!("invalid --sessions '{v}': want an integer > 0"))
                 })?;
-                if sessions == 0 {
+                if args.sessions == 0 {
                     return Err(CliError::Usage("--sessions must be > 0".into()));
                 }
             }
             "--seed" => {
                 let v = value(it.next())?;
-                seed = v.parse().map_err(|_| {
+                args.seed = v.parse().map_err(|_| {
                     CliError::Usage(format!("invalid --seed '{v}': want an unsigned integer"))
                 })?;
             }
-            "--op" => {
-                let v = value(it.next())?;
-                match v.as_str() {
-                    "mixed" => op = ReplayOp::Mixed,
-                    "compare" => op = ReplayOp::Compare,
-                    "batch" => op = ReplayOp::Batch,
-                    "mitm" => mitm = true,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "invalid --op '{other}': want mixed|compare|batch|mitm"
-                        )))
-                    }
-                };
-            }
+            "--op" => args.op = parse_op(&value(it.next())?)?,
             "--pipeline" => {
                 let v = value(it.next())?;
-                pipeline = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "invalid --pipeline '{v}': want an integer > 0"
-                        ))
-                    })?;
+                args.pipeline = v.parse().ok().filter(|&n: &usize| n > 0).ok_or_else(|| {
+                    CliError::Usage(format!("invalid --pipeline '{v}': want an integer > 0"))
+                })?;
             }
             "--chaos-rate" => {
                 let v = value(it.next())?;
-                chaos_rate = match v.parse::<f64>() {
+                args.chaos_rate = match v.parse::<f64>() {
                     Ok(r) if (0.0..=1.0).contains(&r) => r,
                     _ => {
                         return Err(CliError::Usage(format!(
@@ -860,7 +872,7 @@ fn cmd_loadgen(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
             }
             "--chaos-seed" => {
                 let v = value(it.next())?;
-                chaos_seed = v.parse().map_err(|_| {
+                args.chaos_seed = v.parse().map_err(|_| {
                     CliError::Usage(format!(
                         "invalid --chaos-seed '{v}': want an unsigned integer"
                     ))
@@ -868,231 +880,142 @@ fn cmd_loadgen(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
             }
             "--swaps" => {
                 let v = value(it.next())?;
-                swaps = Some(v.parse().ok().filter(|&n: &usize| n > 0).ok_or_else(
-                    || CliError::Usage(format!("invalid --swaps '{v}': want an integer > 0")),
-                )?);
+                args.swaps = Some(v.parse().ok().filter(|&n: &usize| n > 0).ok_or_else(|| {
+                    CliError::Usage(format!("invalid --swaps '{v}': want an integer > 0"))
+                })?);
             }
             other => {
                 return Err(CliError::Usage(format!("unknown loadgen flag '{other}'")));
             }
         }
     }
+    Ok(args)
+}
 
-    if let Some(swaps) = swaps {
+fn cmd_loadgen(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
+    let addr = addr
+        .ok_or_else(|| CliError::Usage("loadgen needs a server address".into()))?
+        .clone();
+    let args = parse_loadgen(rest)?;
+    if let Some(swaps) = args.swaps {
         return drive_swaps(&addr, swaps);
     }
-
-    if mitm {
-        return loadgen_mitm(&addr, sessions, seed, pipeline, chaos_rate, chaos_seed);
-    }
-
-    let spec = ReplaySpec::new(seed, sessions).with_op(op);
-    eprintln!("computing offline verdicts for seed {seed}, {sessions} sessions…");
-    let expected = offline_verdicts(&spec);
-
-    if chaos_rate > 0.0 {
-        if pipeline > 1 {
+    let (sessions, seed) = (args.sessions, args.seed);
+    let link = if args.chaos_rate > 0.0 {
+        if args.pipeline > 1 {
             return Err(CliError::Usage(
                 "--pipeline applies to the clean replay path; the chaos path \
                  retries one request at a time"
                     .into(),
             ));
         }
-        eprintln!(
-            "replaying {} requests against {addr} under wire chaos (rate {chaos_rate}, \
-             seed {chaos_seed})…",
-            expected.len()
-        );
-        let outcome = replay_resilient(addr.as_str(), &spec, chaos_seed, chaos_rate)
-            .map_err(CliError::Failure)?;
-        let throughput = outcome.requests as f64 / outcome.elapsed.as_secs_f64().max(1e-9);
-        println!(
-            "loadgen: {} requests in {:.3}s ({throughput:.0} req/s)",
-            outcome.requests,
-            outcome.elapsed.as_secs_f64()
-        );
-        println!(
-            "loadgen: chaos: {} fault(s) injected, {} retries, {} busy, {} connection(s)",
-            outcome.faults, outcome.retries, outcome.busy, outcome.reconnects
-        );
-        println!("loadgen: protocol errors: {}", outcome.wire_errors);
-        if outcome.wire_errors > 0 {
-            return Err(format!("{} protocol errors", outcome.wire_errors).into());
+        Link::Lossy {
+            seed: args.chaos_seed,
+            rate: args.chaos_rate,
         }
-        if outcome.verdicts != expected {
-            let diverged = outcome
-                .verdicts
-                .iter()
-                .zip(&expected)
-                .position(|(got, want)| got != want);
-            return Err(format!(
-                "served verdicts diverge from the offline study (first at request {:?})",
-                diverged
-            )
-            .into());
+    } else {
+        Link::Clean {
+            depth: args.pipeline,
+            seed,
         }
-        println!("loadgen: verdicts match the offline study exactly");
-        if op == ReplayOp::Compare {
-            println!("loadgen: compare replies match the offline verdict vectors exactly");
-            println!(
-                "loadgen: verdict-vector fingerprint: {:016x}",
-                verdict_fingerprint(&outcome.verdicts)
-            );
-        }
-        return Ok(());
-    }
+    };
 
+    // --op only chooses the plan; everything after it is one path.
+    let (requests, scenario_spec) = match args.op {
+        LoadOp::Replay(op) => (
+            queries_for(&ReplaySpec::new(seed, sessions).with_op(op)),
+            None,
+        ),
+        LoadOp::Mitm => {
+            let spec = scenario::ScenarioSpec::for_sessions(sessions, seed);
+            let plan = scenario::plan(&spec).map_err(|e| format!("scenario: {e}"))?;
+            (plan, Some(spec))
+        }
+    };
+    eprintln!("computing offline verdicts for {} requests…", requests.len());
+    let expected = offline_verdicts(&requests);
     eprintln!(
-        "replaying {} requests against {addr} (pipeline depth {pipeline})…",
-        expected.len()
+        "replaying {} requests against {addr} ({link:?})…",
+        requests.len()
     );
-    let outcome =
-        replay_pipelined(addr.as_str(), &spec, pipeline).map_err(|e| format!("replay: {e}"))?;
+    let outcome = drive(addr.as_str(), &requests, link).map_err(CliError::Failure)?;
 
     let throughput = outcome.requests as f64 / outcome.elapsed.as_secs_f64().max(1e-9);
     let hits = outcome.stats["cache"]["hits"].as_u64().unwrap_or(0);
     let misses = outcome.stats["cache"]["misses"].as_u64().unwrap_or(0);
-    let hit_rate = if hits + misses > 0 {
-        hits as f64 / (hits + misses) as f64
-    } else {
-        0.0
-    };
+    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
     println!(
         "loadgen: {} requests in {:.3}s ({throughput:.0} req/s)",
         outcome.requests,
         outcome.elapsed.as_secs_f64()
     );
-    // Keep-alive reuse: a clean run answers every request over a single
-    // connection, however many frames it carries.
+    // A clean run answers every request over a single keep-alive
+    // connection; a lossy one reconnects after each breaking fault.
     println!(
-        "loadgen: {} connection(s) for {} requests (keep-alive)",
-        outcome.connects, outcome.requests
+        "loadgen: {} connection(s) for {} requests{}",
+        outcome.connects,
+        outcome.requests,
+        if matches!(link, Link::Clean { .. }) {
+            " (keep-alive)"
+        } else {
+            ""
+        }
     );
+    if let Link::Lossy { .. } = link {
+        println!(
+            "loadgen: chaos: {} fault(s) injected, {} retries, {} busy",
+            outcome.faults, outcome.retries, outcome.busy
+        );
+    }
     println!(
         "loadgen: cache hit rate {:.1}% ({hits} hits / {misses} misses)",
         hit_rate * 100.0
     );
     println!("loadgen: protocol errors: {}", outcome.wire_errors);
-
     if outcome.wire_errors > 0 {
         return Err(format!("{} protocol errors", outcome.wire_errors).into());
     }
-    if outcome.verdicts != expected {
-        let diverged = outcome
-            .verdicts
-            .iter()
-            .zip(&expected)
-            .position(|(got, want)| got != want);
-        return Err(format!(
-            "served verdicts diverge from the offline study (first at request {:?})",
-            diverged
-        )
-        .into());
-    }
-    println!("loadgen: verdicts match the offline study exactly");
-    if op == ReplayOp::Compare {
-        println!("loadgen: compare replies match the offline verdict vectors exactly");
-        println!(
-            "loadgen: verdict-vector fingerprint: {:016x}",
-            verdict_fingerprint(&outcome.verdicts)
-        );
-    }
-    if op == ReplayOp::Batch {
-        println!(
-            "loadgen: batch replies match the offline study exactly (depth {BATCH_DEPTH})"
-        );
-        println!(
-            "loadgen: verdict-vector fingerprint: {:016x}",
-            verdict_fingerprint(&outcome.verdicts)
-        );
-    }
-    Ok(())
-}
 
-/// `loadgen --op mitm`: replay the interception scenario plan through
-/// the served `probe_session` op and cross-check the offline report.
-fn loadgen_mitm(
-    addr: &str,
-    sessions: usize,
-    seed: u64,
-    pipeline: usize,
-    chaos_rate: f64,
-    chaos_seed: u64,
-) -> Result<(), CliError> {
-    let spec = scenario::ScenarioSpec::for_sessions(sessions, seed);
-    eprintln!(
-        "computing offline scenario report for seed {seed}: {} clients x {} strategies \
-         ({} sessions)…",
-        spec.clients,
-        spec.strategies.len(),
-        spec.sessions()
-    );
-    let expected =
-        scenario::compute(&spec).map_err(|e| CliError::Failure(format!("scenario: {e}")))?;
-
-    let outcome = if chaos_rate > 0.0 {
-        if pipeline > 1 {
-            return Err(CliError::Usage(
-                "--pipeline applies to the clean replay path; the chaos path \
-                 retries one request at a time"
-                    .into(),
-            ));
+    if let Some(spec) = &scenario_spec {
+        let report = scenario::tally(spec, &outcome.verdicts);
+        let (total, blocked, intercepted, whitelisted) = report.totals();
+        let status = if report.conserved() { "ok" } else { "VIOLATED" };
+        println!(
+            "loadgen: conservation: {status} (sessions {total} = blocked {blocked} + \
+             intercepted {intercepted} + whitelisted {whitelisted})"
+        );
+        if !report.conserved() {
+            return Err("served scenario ledger violated conservation".into());
         }
-        eprintln!(
-            "replaying {} probe_session requests against {addr} under wire chaos \
-             (rate {chaos_rate}, seed {chaos_seed})…",
-            spec.sessions()
-        );
-        scenario::replay_mitm_chaos(addr, &spec, chaos_seed, chaos_rate)
-    } else {
-        eprintln!(
-            "replaying {} probe_session requests against {addr} (pipeline depth {pipeline})…",
-            spec.sessions()
-        );
-        scenario::replay_mitm(addr, &spec, pipeline)
     }
-    .map_err(CliError::Failure)?;
-
-    let throughput = outcome.requests as f64 / outcome.elapsed.as_secs_f64().max(1e-9);
-    println!(
-        "loadgen: {} requests in {:.3}s ({throughput:.0} req/s)",
-        outcome.requests,
-        outcome.elapsed.as_secs_f64()
-    );
-    println!(
-        "loadgen: {} connection(s) for {} requests (keep-alive)",
-        outcome.connects, outcome.requests
-    );
-    if outcome.faults > 0 {
-        println!("loadgen: chaos: {} fault(s) injected", outcome.faults);
-    }
-    println!("loadgen: protocol errors: {}", outcome.wire_errors);
-    if outcome.wire_errors > 0 {
-        return Err(format!("{} protocol errors", outcome.wire_errors).into());
-    }
-
-    let report = &outcome.report;
-    let (total, blocked, intercepted, whitelisted) = report.totals();
-    let status = if report.conserved() { "ok" } else { "VIOLATED" };
-    println!(
-        "loadgen: conservation: {status} (sessions {total} = blocked {blocked} + \
-         intercepted {intercepted} + whitelisted {whitelisted})"
-    );
-    if !report.conserved() {
-        return Err("served scenario ledger violated conservation".into());
-    }
-    if report.fingerprint != expected.fingerprint {
+    if let Some(diverged) = (0..expected.len().max(outcome.verdicts.len()))
+        .find(|&i| outcome.verdicts.get(i) != expected.get(i))
+    {
         return Err(format!(
-            "served scenario diverges from the offline report \
-             (served {:016x}, offline {:016x})",
-            report.fingerprint, expected.fingerprint
+            "served verdicts diverge from the offline run (first at request {diverged})"
         )
         .into());
     }
-    println!("loadgen: probe_session replies match the offline scenario exactly");
+    match args.op {
+        LoadOp::Mitm => {
+            println!("loadgen: probe_session replies match the offline scenario exactly")
+        }
+        LoadOp::Replay(op) => {
+            println!("loadgen: verdicts match the offline study exactly");
+            match op {
+                ReplayOp::Mixed => {}
+                ReplayOp::Compare => {
+                    println!("loadgen: compare replies match the offline verdict vectors exactly")
+                }
+                ReplayOp::Batch => println!(
+                    "loadgen: batch replies match the offline study exactly (depth {BATCH_DEPTH})"
+                ),
+            }
+        }
+    }
     println!(
         "loadgen: verdict-vector fingerprint: {:016x}",
-        report.fingerprint
+        verdict_fingerprint(&outcome.verdicts)
     );
     Ok(())
 }
@@ -1756,4 +1679,34 @@ fn bench_journal_recovery() -> Result<Vec<serde_json::Value>, CliError> {
     }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn loadgen_op(flags: &[&str]) -> Result<LoadOp, CliError> {
+        let flags: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+        parse_loadgen(&flags).map(|args| args.op)
+    }
+
+    #[test]
+    fn loadgen_op_last_flag_wins() {
+        assert!(matches!(
+            loadgen_op(&["--op", "mitm", "--op", "compare"]),
+            Ok(LoadOp::Replay(ReplayOp::Compare))
+        ));
+        assert!(matches!(
+            loadgen_op(&["--op", "batch", "--op", "mitm"]),
+            Ok(LoadOp::Mitm)
+        ));
+        assert!(matches!(loadgen_op(&[]), Ok(LoadOp::Replay(ReplayOp::Mixed))));
+    }
+
+    #[test]
+    fn loadgen_unknown_op_is_a_usage_error() {
+        // Usage errors exit with status 2.
+        assert!(matches!(loadgen_op(&["--op", "nope"]), Err(CliError::Usage(_))));
+        assert!(matches!(loadgen_op(&["--op"]), Err(CliError::Usage(_))));
+    }
 }

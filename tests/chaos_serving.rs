@@ -6,11 +6,12 @@
 use std::sync::Arc;
 use tangled_mass::analysis::Study;
 use tangled_mass::faults::chaos::WireFaultKind;
+use tangled_mass::scenario::{self, ScenarioSpec};
 use tangled_mass::snap::{write_study, SectionId, Snapshot};
 use tangled_mass::trustd::{
-    chaos, degraded_index_from_snapshot, offline_verdicts, replay_resilient, ChaosSpec, Connect,
-    EventServer, ReplaySpec, Request, ResilientClient, ResilientError, RetryPolicy, ServerConfig,
-    TcpConnector, TrustService, DEFAULT_CACHE_CAPACITY,
+    chaos, degraded_index_from_snapshot, drive, offline_verdicts, queries_for, verdict_fingerprint,
+    ChaosSpec, Connect, EventServer, Link, ReplaySpec, Request, ResilientClient, ResilientError,
+    RetryPolicy, ServerConfig, TcpConnector, TrustService, DEFAULT_CACHE_CAPACITY,
 };
 use tangled_mass::trustd::wire::{ChainVerdict, Response};
 
@@ -80,33 +81,62 @@ fn ci_chaos_spec_ledger_is_golden() {
 
 /// Lossy wire faults over *real* TCP: the resilient client retries
 /// through disconnects, partial writes and trickled bytes, and the
-/// served verdicts still match the offline study byte for byte — faults
-/// cost retries, never answers.
+/// served verdicts still match the offline run byte for byte — faults
+/// cost retries, never answers. Two plans go through the same lossy
+/// link: the Netalyzr mixed mix and the interception scenario plan,
+/// whose tallied report must equal `scenario::compute`'s.
 #[test]
 fn lossy_chaos_over_tcp_preserves_verdicts() {
-    let spec = ReplaySpec::new(2014, 40);
-    let expected = offline_verdicts(&spec);
+    let mitm = ScenarioSpec::for_scale(0.02, 2014);
+    let plans = [
+        queries_for(&ReplaySpec::new(2014, 40)),
+        scenario::plan(&mitm).expect("scenario plan"),
+    ];
 
     let service = Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
     let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service), 4).expect("bind");
-    let outcome =
-        replay_resilient(server.local_addr(), &spec, 11, 0.3).expect("chaos replay");
+    let link = Link::Lossy {
+        seed: 11,
+        rate: 0.3,
+    };
+    let outcomes: Vec<_> = plans
+        .iter()
+        .map(|requests| drive(server.local_addr(), requests, link).expect("chaos replay"))
+        .collect();
     server.shutdown();
 
-    assert_eq!(outcome.wire_errors, 0, "lossy faults never corrupt a request");
+    for (requests, outcome) in plans.iter().zip(&outcomes) {
+        assert_eq!(
+            outcome.wire_errors, 0,
+            "lossy faults never corrupt a request"
+        );
+        assert_eq!(
+            outcome.verdicts,
+            offline_verdicts(requests),
+            "verdicts under chaos must match the offline run"
+        );
+        assert!(
+            outcome.faults > 0,
+            "rate 0.3 over {} requests must inject faults",
+            outcome.requests
+        );
+        assert!(
+            outcome.connects > 1 && outcome.retries > 0,
+            "breaking faults must force retries and reconnects (got {} connects)",
+            outcome.connects
+        );
+    }
+
+    let served = scenario::tally(&mitm, &outcomes[1].verdicts);
+    let offline = scenario::compute(&mitm).expect("compute");
     assert_eq!(
-        outcome.verdicts, expected,
-        "verdicts under chaos must match the offline study"
+        served.render(),
+        offline.render(),
+        "served report equals compute"
     );
-    assert!(
-        outcome.faults > 0,
-        "rate 0.3 over {} requests must inject faults",
-        outcome.requests
-    );
-    assert!(
-        outcome.reconnects > 1,
-        "breaking faults must force reconnects (got {})",
-        outcome.reconnects
+    assert_eq!(
+        verdict_fingerprint(&outcomes[1].verdicts),
+        0x8adb_30df_89aa_3cd3
     );
 }
 

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 use tangled_mass::exec::set_thread_override;
 use tangled_mass::intercept::DefectClass;
-use tangled_mass::scenario::{compute, replay_mitm, MintStrategy, ScenarioSpec};
-use tangled_mass::trustd::{EventServer, TrustService, DEFAULT_CACHE_CAPACITY};
+use tangled_mass::scenario::{compute, plan, tally, MintStrategy, ScenarioSpec};
+use tangled_mass::trustd::{drive, EventServer, Link, TrustService, DEFAULT_CACHE_CAPACITY};
 
 #[test]
 fn scenario_report_is_deterministic_and_served_replay_matches() {
@@ -64,18 +64,24 @@ fn scenario_report_is_deterministic_and_served_replay_matches() {
     // must match the offline report exactly.
     let service = Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
     let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service), 4).expect("bind");
-    let outcome = replay_mitm(server.local_addr(), &spec, 8).expect("served replay");
+    let requests = plan(&spec).expect("plan");
+    let link = Link::Clean {
+        depth: 8,
+        seed: spec.seed,
+    };
+    let outcome = drive(server.local_addr(), &requests, link).expect("served replay");
     server.shutdown();
 
     assert_eq!(outcome.wire_errors, 0, "no protocol errors");
     assert_eq!(outcome.requests, spec.sessions());
-    assert!(outcome.report.conserved(), "served ledger conserves");
+    let served = tally(&spec, &outcome.verdicts);
+    assert!(served.conserved(), "served ledger conserves");
     assert_eq!(
-        outcome.report.fingerprint, offline.fingerprint,
+        served.fingerprint, offline.fingerprint,
         "served fingerprint must equal the offline fingerprint"
     );
     assert_eq!(
-        outcome.report.render(),
+        served.render(),
         offline.render(),
         "served report must be byte-identical to the offline report"
     );

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tangled_mass::trustd::replay::{
-    canonical, offline_verdicts, population, queries, replay, ReplaySpec,
+    canonical, drive, offline_verdicts, population, queries, queries_for, Link, ReplaySpec,
 };
 use tangled_mass::trustd::wire::{ChainVerdict, Request, Response};
 use tangled_mass::trustd::{EventServer, TrustClient, TrustService, DEFAULT_CACHE_CAPACITY};
@@ -16,17 +16,26 @@ use tangled_mass::trustd::{EventServer, TrustClient, TrustService, DEFAULT_CACHE
 /// actually hit, and no protocol errors may occur.
 #[test]
 fn replay_matches_offline_study_exactly() {
-    let spec = ReplaySpec::new(2014, 100);
-    let expected = offline_verdicts(&spec);
+    let requests = queries_for(&ReplaySpec::new(2014, 100));
+    let expected = offline_verdicts(&requests);
     assert!(!expected.is_empty());
 
     let service = Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
     let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service), 4).expect("bind");
-    let outcome = replay(server.local_addr(), &spec).expect("replay");
+    let link = Link::Clean {
+        depth: 1,
+        seed: 2014,
+    };
+    let outcome = drive(server.local_addr(), &requests, link).expect("replay");
     server.shutdown();
 
     assert_eq!(outcome.wire_errors, 0, "no protocol errors");
     assert_eq!(outcome.requests, expected.len());
+    assert_eq!(
+        outcome.connects, 1,
+        "a clean link keeps one connection alive"
+    );
+    assert_eq!((outcome.faults, outcome.retries), (0, 0));
     assert_eq!(
         outcome.verdicts, expected,
         "served verdicts must be byte-identical to the offline study"

@@ -11,8 +11,8 @@ use tangled_mass::snap::{write_study, Journal, SectionId, Snapshot, TrustState};
 use tangled_mass::trustd::replay::canonical;
 use tangled_mass::trustd::wire::{Request, Response};
 use tangled_mass::trustd::{
-    degraded_index_from_snapshot, index_from_chain, index_from_snapshot, offline_verdicts,
-    queries_for, replay, replay_journal, verdict_fingerprint, EventServer, ReplayOp, ReplaySpec,
+    degraded_index_from_snapshot, drive, index_from_chain, index_from_snapshot, offline_verdicts,
+    queries_for, replay_journal, verdict_fingerprint, EventServer, Link, ReplayOp, ReplaySpec,
     TrustService, DEFAULT_CACHE_CAPACITY,
 };
 
@@ -221,14 +221,18 @@ fn compare_replies_match_offline_vectors_across_warm_and_degraded_starts() {
     write_study(&study, &snap_path).expect("snapshot writes");
 
     let spec = ReplaySpec::new(2014, 60).with_op(ReplayOp::Compare);
-    let offline = offline_verdicts(&spec);
     let requests = queries_for(&spec);
+    let offline = offline_verdicts(&requests);
 
     // Live TCP replay against a cold server.
     let service = std::sync::Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
     let server =
         EventServer::bind("127.0.0.1:0", std::sync::Arc::clone(&service), 2).expect("bind");
-    let outcome = replay(server.local_addr(), &spec).expect("replay");
+    let link = Link::Clean {
+        depth: 1,
+        seed: spec.seed,
+    };
+    let outcome = drive(server.local_addr(), &requests, link).expect("replay");
     server.shutdown();
     assert_eq!(
         outcome.verdicts, offline,
