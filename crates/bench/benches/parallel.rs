@@ -1,9 +1,10 @@
 //! Parallel execution layer benchmarks (DESIGN.md §10).
 //!
 //! Measures the four hot paths wired through [`tangled_exec::ExecPool`]
-//! at pool width 1 (the sequential baseline) versus wider pools, plus the
-//! effect of the process-wide signature-verification memo on a repeated
-//! validation-index build. Determinism is asserted elsewhere
+//! at pool width 1 (the sequential baseline) versus wider pools, the
+//! trustd preload of the reference-store profiles at widths 1 and 4, and
+//! the effect of the process-wide signature-verification memo on a
+//! repeated validation-index build. Determinism is asserted elsewhere
 //! (`tests/determinism.rs`); this harness only times the same work.
 //!
 //! On a single-core container the multi-thread rows are expected to sit
@@ -18,6 +19,7 @@ use tangled_faults::FaultPlan;
 use tangled_netalyzr::population::{Population, PopulationSpec};
 use tangled_notary::ecosystem::EcosystemSpec;
 use tangled_notary::{Ecosystem, ValidationIndex};
+use tangled_trustd::StoreIndex;
 use tangled_x509::sig_memo_clear;
 
 fn main() {
@@ -68,6 +70,16 @@ fn main() {
                 sig_memo_clear();
                 black_box(Study::with_faults(0.05, 0.02, &plan).injected.len())
             })
+        });
+        set_thread_override(None);
+    }
+
+    // trustd preload: the reference-store profiles install through the
+    // ambient pool, so drive it via the thread override as well.
+    for width in [1usize, 4] {
+        set_thread_override(Some(width));
+        c.bench_function(&format!("parallel/trustd_preload_{width}t"), |b| {
+            b.iter(|| black_box(StoreIndex::with_reference_profiles().profile_names().len()))
         });
         set_thread_override(None);
     }

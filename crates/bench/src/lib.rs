@@ -8,10 +8,17 @@
 //! * `benches/paper_figures.rs` — Figures 1–3;
 //! * `benches/ablations.rs` — the DESIGN.md §5 design-choice ablations
 //!   (certificate identity, diff algorithm, chain building, validation
-//!   memoisation, Montgomery exponentiation).
+//!   memoisation, Montgomery exponentiation);
+//! * `benches/parallel.rs` — the study stages and the trustd preload at
+//!   pool width 1 vs 2/4 (`cargo bench --bench parallel`);
+//! * `benches/snap.rs` — cold generation vs snapshot load and journal
+//!   recovery (`cargo bench --bench snap`);
+//! * `benches/disparity.rs` — the cross-ecosystem disparity engine.
 //!
 //! Run with `cargo bench --workspace`; see EXPERIMENTS.md for the mapping
-//! to the paper's numbers.
+//! to the paper's numbers. Served throughput and latency under sustained
+//! load are measured end to end by `perfbench` (its own package at the
+//! repository root, declared in `BENCHMARK.json`), not here.
 
 /// Shared bench-harness configuration: small samples and short
 /// measurement windows — the artifacts themselves, not micro-second

@@ -1,95 +1,7 @@
 //! `tangled` — command-line interface to the tangled-mass toolkit.
 //!
-//! ```text
-//! tangled tables  [scale]            print Tables 1–6 (default scale 0.5)
-//! tangled figures [scale]            print Figures 1–3 data summaries
-//! tangled export  [scale]            full result set as JSON on stdout
-//! tangled mkstore <version> <dir>    write an AOSP store as a cacerts dir
-//!                                    (version: 4.1 | 4.2 | 4.3 | 4.4 |
-//!                                     mozilla | ios7)
-//! tangled audit   <dir> <version>    audit an on-disk cacerts directory
-//!                                    against an AOSP baseline
-//! tangled probe                      replay the §7 interception case
-//! tangled snap write <file> [scale]  generate a study and persist it as a
-//!                                    binary snapshot
-//! tangled snap read <file>           load a snapshot and print its tables
-//! tangled snap verify <file>         checksum every snapshot section
-//! tangled snap delta <base> <target> <epoch> --out <file>
-//!                                    encode target as a delta over base:
-//!                                    unchanged sections dedup away by
-//!                                    checksum, only changed ones ride along
-//! tangled snap materialize <chain...> <epoch> [--out <file>]
-//!                                    rebuild the full snapshot a base+delta
-//!                                    chain describes at a point in time
-//! tangled serve   <addr> [--snapshot F] [--journal F]
-//!                        [--compact-threshold BYTES]
-//!                                    run the trustd query server (a few
-//!                                    readiness-loop threads multiplexing
-//!                                    every connection); with --snapshot,
-//!                                    warm-start the reference profiles from a
-//!                                    study snapshot; with --journal, log
-//!                                    every swap write-ahead and replay the
-//!                                    log on restart; with
-//!                                    --compact-threshold, fold the journal
-//!                                    into a checkpoint delta once it grows
-//!                                    past BYTES, keeping recovery O(state)
-//! tangled loadgen <addr> [--sessions N] [--seed S]
-//!                        [--op mixed|compare|batch|mitm] [--pipeline N]
-//!                        [--chaos-rate R] [--chaos-seed S] [--swaps N]
-//!                                    plan a seeded workload, answer it
-//!                                    offline, replay it against a server
-//!                                    and check the served verdicts match;
-//!                                    --op picks the plan (the mixed
-//!                                    Netalyzr mix, the disparity engine's
-//!                                    compare vectors, the validate stream
-//!                                    grouped into batch_validate frames,
-//!                                    or the interception scenario's
-//!                                    probe_session plan) and the last
-//!                                    --op wins; every run prints one
-//!                                    report ending in the verdict-vector
-//!                                    fingerprint (mitm adds its
-//!                                    conservation line); --pipeline
-//!                                    bursts N requests per write window
-//!                                    over one keep-alive connection;
-//!                                    --chaos-rate injects seeded lossy
-//!                                    wire faults client-side, recovered
-//!                                    by the resilient retry client; with
-//!                                    --swaps, drive N store swaps of a
-//!                                    'canary' profile instead (exercises
-//!                                    the journal/compaction write path)
-//! tangled mitm    [scale] [--seed S] adversarial interception scenarios: a
-//!                                    seeded defective-client population vs a
-//!                                    re-signing proxy, with per-strategy
-//!                                    conservation ledger and defect
-//!                                    attribution
-//! tangled disparity [scale]          cross-ecosystem disparity report:
-//!                                    Jaccard matrix, coverage tables,
-//!                                    trusted-by-exactly-k histogram and
-//!                                    verdict classes over ten root stores
-//! tangled disparity --from A --to B  longitudinal drift between two
-//!                                    snapshots: per-profile anchor churn,
-//!                                    Jaccard similarity, exactly-k migration
-//! tangled chaos   [--seed S] [--requests N] [--rate R]
-//!                 [--busy-rate B] [--attempts N] [--out FILE]
-//!                                    drive a seeded client population through
-//!                                    a wire fault schedule against an
-//!                                    in-process server and assert the
-//!                                    conservation invariant; the ledger is
-//!                                    byte-identical for a fixed seed
-//! tangled stats   [scale]            pipeline statistics: per-stage
-//!                                    latency p50/p99, memo counters, the
-//!                                    trustd serving path, metrics dump
-//! tangled trace   <out.jsonl> [scale]
-//!                                    run a faulted study under the obs
-//!                                    trace, validate the event log against
-//!                                    the schema, write it as JSONL
-//! tangled bench-study [scale] [--out FILE]
-//!                                    time the study stages at 1 thread and
-//!                                    the ambient width; write BENCH_study.json
-//! tangled bench-snap [scale] [--out FILE]
-//!                                    time cold study generation vs snapshot
-//!                                    load; write BENCH_snap.json
-//! ```
+//! Run `tangled` with no arguments for the command list: [`usage`]
+//! renders every synopsis from [`COMMANDS`].
 //!
 //! The global `--threads N` flag (or `TANGLED_THREADS`) pins the
 //! execution-pool width for any subcommand; results are bit-identical at
@@ -100,28 +12,24 @@
 //! Usage errors (unknown subcommand, malformed arguments) exit with
 //! status 2; runtime failures exit with status 1.
 
-use serde_json::json;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Instant;
 use tangled_mass::analysis::{export, figures, survey, tables, Study};
-use tangled_mass::asn1::Time;
 use tangled_mass::exec::{set_thread_override, thread_count};
 use tangled_mass::faults::FaultPlan;
+use tangled_mass::intercept::study_time;
 use tangled_mass::netalyzr::{Population, PopulationSpec};
-use tangled_mass::notary::ecosystem::EcosystemSpec;
-use tangled_mass::notary::{Ecosystem, ValidationIndex};
+use tangled_mass::notary::ValidationIndex;
+use tangled_mass::obs;
 use tangled_mass::pki::audit::audit;
 use tangled_mass::pki::cacerts::{from_cacerts, to_cacerts_pem, CacertsFile};
 use tangled_mass::pki::stores::ReferenceStore;
-use tangled_mass::obs;
 use tangled_mass::pki::trust::AnchorSource;
 use tangled_mass::scenario;
-use tangled_mass::snap::{
-    encode_checkpoint, load_study, write_study, Journal, Snapshot, SwapRecord,
-    TrustState,
-};
+use tangled_mass::snap::{load_study, write_study, Journal, Snapshot, TrustState};
 use tangled_mass::trustd::{
     chaos, degraded_index_from_snapshot, drive, index_from_chain, offline_verdicts, queries_for,
     replay_journal, verdict_fingerprint, ChaosSpec, EventServer, LatencyHistogram, Link,
@@ -149,151 +57,259 @@ impl From<&str> for CliError {
     }
 }
 
+/// Every subcommand's synopsis and help, in `usage()` order. `usage()`
+/// and each "usage: tangled …" error line read the synopsis from here.
+const COMMANDS: &[(&str, &str)] = &[
+    ("tables [scale]", "print Tables 1-6"),
+    ("figures [scale]", "print Figures 1-3 summaries"),
+    ("export [scale]", "print the result set as JSON"),
+    (
+        "mkstore <version> <dir>",
+        "write a reference store as cacerts files\n(version: 4.1|4.2|4.3|4.4|mozilla|ios7)",
+    ),
+    ("audit <dir> <version>", "audit a cacerts directory"),
+    ("probe", "replay the interception case"),
+    ("snap write <file> [scale]", "generate a study and persist a binary snapshot"),
+    ("snap read <file>", "load a snapshot and print its tables"),
+    ("snap verify <file>", "checksum every snapshot section"),
+    (
+        "snap delta <base> <target> <epoch> --out <file>",
+        "write target as a delta over base (changed\nsections only, epoch-labelled)",
+    ),
+    (
+        "snap materialize <chain...> <epoch> [--out <file>]",
+        "materialise a base+delta chain at an epoch;\nwith --out, write the full snapshot",
+    ),
+    (
+        "serve <addr> [--snapshot F] [--journal F] [--compact-threshold BYTES]",
+        "run the trustd query server (readiness loops\nmultiplexing every connection; warm start\n\
+         from a snapshot and a <journal>.ckpt\ncompaction checkpoint when present;\n\
+         write-ahead journal for swaps;\n--compact-threshold folds the journal into\n\
+         the checkpoint once it crosses BYTES)",
+    ),
+    (
+        "loadgen <addr> [--sessions N] [--seed S] [--op mixed|compare|batch|mitm] \
+         [--pipeline N] [--chaos-rate R] [--chaos-seed S] [--swaps N]",
+        "plan a seeded workload (--op: mixed mix,\ncompare vectors, batch_validate frames or\n\
+         the mitm scenario plan; last --op wins),\nreplay it against a server and check it\n\
+         against the offline verdicts; one report\nending in the verdict-vector fingerprint;\n\
+         --pipeline bursts N requests per write\nwindow; --chaos-rate injects lossy wire\n\
+         faults recovered through the resilient\nclient; --swaps drives N store swaps on\n\
+         the 'canary' profile instead of a replay",
+    ),
+    (
+        "disparity [scale] | --from A --to B",
+        "cross-ecosystem root-store disparity report;\nwith --from/--to, longitudinal drift between\n\
+         two materialised snapshots: per-profile\nanchor churn, Jaccard drift, exactly-k\nmigration",
+    ),
+    (
+        "mitm [scale] [--seed S]",
+        "adversarial interception scenarios: seeded\ndefective-client population vs a re-signing\n\
+         proxy, per-strategy conservation ledger and\ndefect attribution, seed-reproducible",
+    ),
+    (
+        "chaos [--seed S] [--requests N] [--rate R] [--busy-rate B] [--attempts N] [--out FILE]",
+        "deterministic wire-fault chaos run against an\nin-process server; asserts conservation",
+    ),
+    (
+        "stats [scale]",
+        "per-stage latency p50/p99, memo counters,\ntrustd serving path, metrics dump",
+    ),
+    (
+        "trace <out.jsonl> [scale]",
+        "run a faulted study under the obs trace and\nwrite the schema-validated event log",
+    ),
+];
+
 fn usage() -> String {
-    [
-        "usage: tangled [--threads N] [--metrics-dump] <tables|figures|export|mkstore|audit|probe|snap|serve|loadgen|disparity|mitm|chaos|stats|trace|bench-study|bench-snap> [...]",
-        "  tables  [scale]          print Tables 1-6",
-        "  figures [scale]          print Figures 1-3 summaries",
-        "  export  [scale]          print the result set as JSON",
-        "  mkstore <version> <dir>  write a reference store as cacerts files",
-        "  audit   <dir> <version>  audit a cacerts directory",
-        "  probe                    replay the interception case",
-        "  snap write <file> [scale]",
-        "                           generate a study and persist a binary snapshot",
-        "  snap read <file>         load a snapshot and print its tables",
-        "  snap verify <file>       checksum every snapshot section",
-        "  snap delta <base> <target> <epoch> --out <file>",
-        "                           write target as a delta over base (changed",
-        "                           sections only, epoch-labelled)",
-        "  snap materialize <chain...> <epoch> [--out <file>]",
-        "                           materialise a base+delta chain at an epoch;",
-        "                           with --out, write the full snapshot",
-        "  serve   <addr> [--snapshot F] [--journal F] [--compact-threshold BYTES]",
-        "                           run the trustd query server (readiness loops",
-        "                           multiplexing every connection; warm start",
-        "                           from a snapshot and a <journal>.ckpt",
-        "                           compaction checkpoint when present;",
-        "                           write-ahead journal for swaps;",
-        "                           --compact-threshold folds the journal into",
-        "                           the checkpoint once it crosses BYTES)",
-        "  loadgen <addr> [--sessions N] [--seed S] [--op mixed|compare|batch|mitm]",
-        "          [--pipeline N] [--chaos-rate R] [--chaos-seed S] [--swaps N]",
-        "                           plan a seeded workload (--op: mixed mix,",
-        "                           compare vectors, batch_validate frames or",
-        "                           the mitm scenario plan; last --op wins),",
-        "                           replay it against a server and check it",
-        "                           against the offline verdicts; one report",
-        "                           ending in the verdict-vector fingerprint;",
-        "                           --pipeline bursts N requests per write",
-        "                           window; --chaos-rate injects lossy wire",
-        "                           faults recovered through the resilient",
-        "                           client; --swaps drives N store swaps on",
-        "                           the 'canary' profile instead of a replay",
-        "  disparity [scale]        cross-ecosystem root-store disparity report",
-        "  disparity --from A --to B",
-        "                           longitudinal drift between two materialised",
-        "                           snapshots: per-profile anchor churn, Jaccard",
-        "                           drift, exactly-k migration",
-        "  mitm    [scale] [--seed S]",
-        "                           adversarial interception scenarios: seeded",
-        "                           defective-client population vs a re-signing",
-        "                           proxy, per-strategy conservation ledger and",
-        "                           defect attribution, seed-reproducible",
-        "  chaos   [--seed S] [--requests N] [--rate R] [--busy-rate B]",
-        "          [--attempts N] [--out FILE]",
-        "                           deterministic wire-fault chaos run against an",
-        "                           in-process server; asserts conservation",
-        "  stats   [scale]          per-stage latency p50/p99, memo counters,",
-        "                           trustd serving path, metrics dump",
-        "  trace   <out.jsonl> [scale]",
-        "                           run a faulted study under the obs trace and",
-        "                           write the schema-validated event log",
-        "  bench-study [scale] [--out FILE]",
-        "                           time study stages vs 1 thread; write BENCH_study.json",
-        "  bench-snap [scale] [--out FILE]",
-        "                           time cold generation vs snapshot load; write BENCH_snap.json",
-        "global: --threads N        pin the execution-pool width (or TANGLED_THREADS)",
-        "global: --metrics-dump     print the metrics registry to stderr on exit",
-    ]
-    .join("\n")
-}
-
-/// Strip a global `--threads N` flag (anywhere in the argument list) and
-/// apply it as the pool-width override.
-fn extract_threads(args: &mut Vec<String>) -> Result<(), CliError> {
-    let Some(pos) = args.iter().position(|a| a == "--threads") else {
-        return Ok(());
-    };
-    if pos + 1 >= args.len() {
-        return Err(CliError::Usage("--threads needs a value".into()));
+    let mut names: Vec<&str> = COMMANDS
+        .iter()
+        .map(|(s, _)| s.split(' ').next().unwrap_or(s))
+        .collect();
+    names.dedup();
+    let mut text = format!(
+        "usage: tangled [--threads N] [--metrics-dump] <{}> [...]",
+        names.join("|")
+    );
+    let indent = format!("\n{:27}", "");
+    for (synopsis, help) in COMMANDS {
+        let help = help.replace('\n', &indent);
+        if synopsis.len() < 25 {
+            text += &format!("\n  {synopsis:<24} {help}");
+        } else {
+            text += &format!("\n  {synopsis}{indent}{help}");
+        }
     }
-    let value = args[pos + 1].clone();
-    let threads: usize = value
-        .parse()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| {
-            CliError::Usage(format!("invalid --threads '{value}': want an integer > 0"))
-        })?;
-    args.drain(pos..=pos + 1);
-    tangled_mass::exec::set_thread_override(Some(threads));
-    Ok(())
+    text + "\nglobal: --threads N        pin the execution-pool width (or TANGLED_THREADS)\
+            \nglobal: --metrics-dump     print the metrics registry to stderr on exit"
 }
 
-/// Strip a global `--metrics-dump` flag (anywhere in the argument list).
-fn extract_metrics_dump(args: &mut Vec<String>) -> bool {
-    let Some(pos) = args.iter().position(|a| a == "--metrics-dump") else {
-        return false;
-    };
-    args.remove(pos);
+/// `cmd`'s synopsis from [`COMMANDS`].
+fn synopsis(cmd: &str) -> &str {
+    COMMANDS
+        .iter()
+        .map(|(s, _)| *s)
+        .find(|s| s.strip_prefix(cmd).is_some_and(|r| r.is_empty() || r.starts_with(' ')))
+        .unwrap_or(cmd)
+}
+
+const UINT: &str = "an unsigned integer";
+const POSITIVE: &str = "an integer > 0";
+const RATE: &str = "a number in [0, 1]";
+
+fn any<T>(_: &T) -> bool {
     true
+}
+
+fn positive<T: Default + PartialOrd>(n: &T) -> bool {
+    *n > T::default()
+}
+
+fn rate(r: &f64) -> bool {
+    (0.0..=1.0).contains(r)
+}
+
+/// Parse `text` as the value of `name`; a value that does not parse or
+/// fails `ok` is a usage error saying what was wanted.
+fn typed<T: FromStr>(
+    name: &str,
+    text: &str,
+    want: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    text.parse()
+        .ok()
+        .filter(|v| ok(v))
+        .ok_or_else(|| CliError::Usage(format!("invalid {name} '{text}': want {want}")))
+}
+
+/// A subcommand's arguments: its positionals in order, and its
+/// `--flag value` pairs, where a repeated flag's last value wins.
+struct Args {
+    cmd: &'static str,
+    pos: Vec<String>,
+    flags: HashMap<&'static str, String>,
+}
+
+/// Split `args` into positionals and the values of the `known` flags.
+/// Unknown flags, a flag with no value (or another flag where its value
+/// should be), and positionals past `max_positionals` are usage errors.
+fn parse(
+    cmd: &'static str,
+    args: &[String],
+    known: &[&'static str],
+    max_positionals: usize,
+) -> Result<Args, CliError> {
+    let mut parsed = Args {
+        cmd,
+        pos: Vec::new(),
+        flags: HashMap::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            if parsed.pos.len() == max_positionals {
+                return Err(parsed.usage_error(format!("unexpected argument '{arg}'")));
+            }
+            parsed.pos.push(arg.clone());
+            continue;
+        }
+        let Some(&flag) = known.iter().find(|&&k| k == arg) else {
+            return Err(parsed.usage_error(format!("unknown {cmd} flag '{arg}'")));
+        };
+        let Some(value) = it.next().filter(|v| !v.starts_with("--")) else {
+            return Err(parsed.usage_error(format!("{flag} needs a value")));
+        };
+        parsed.flags.insert(flag, value.clone());
+    }
+    Ok(parsed)
+}
+
+impl Args {
+    fn usage_error(&self, msg: impl Display) -> CliError {
+        CliError::Usage(format!("{msg} — usage: tangled {}", synopsis(self.cmd)))
+    }
+
+    /// The `i`th positional; missing, it is a usage error naming `what`.
+    fn need(&self, i: usize, what: &str) -> Result<&str, CliError> {
+        self.pos
+            .get(i)
+            .map(String::as_str)
+            .ok_or_else(|| self.usage_error(format!("{} needs {what}", self.cmd)))
+    }
+
+    /// `flag`'s value; missing, it is a usage error.
+    fn need_flag(&self, flag: &str) -> Result<&str, CliError> {
+        self.flags
+            .get(flag)
+            .map(String::as_str)
+            .ok_or_else(|| self.usage_error(format!("{} needs {flag}", self.cmd)))
+    }
+
+    /// The optional scale positional at `i`: absent → 0.5; non-numeric,
+    /// non-finite or ≤ 0 → usage error.
+    fn scale(&self, i: usize) -> Result<f64, CliError> {
+        self.pos.get(i).map_or(Ok(0.5), |text| {
+            typed("scale", text, "a number > 0", |s: &f64| s.is_finite() && *s > 0.0)
+        })
+    }
+
+    /// `flag`'s value as a `T` checked by `ok`, or `None` when absent.
+    fn opt<T: FromStr>(
+        &self,
+        flag: &str,
+        want: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, CliError> {
+        self.flags.get(flag).map(|text| typed(flag, text, want, ok)).transpose()
+    }
+
+    /// `flag`'s value as a `T` checked by `ok`, or `default` when absent.
+    fn get<T: FromStr>(
+        &self,
+        flag: &str,
+        default: T,
+        want: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<T, CliError> {
+        Ok(self.opt(flag, want, ok)?.unwrap_or(default))
+    }
+}
+
+/// Strip the global flags from anywhere in `args`: `--threads N` is
+/// applied as the pool-width override (a repeated one overrides the
+/// earlier), and the return value says whether `--metrics-dump` was given.
+fn strip_globals(args: &mut Vec<String>) -> Result<bool, CliError> {
+    let mut metrics_dump = false;
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--metrics-dump" => {
+                metrics_dump = true;
+                args.remove(i);
+            }
+            "--threads" => {
+                let text = args
+                    .get(i + 1)
+                    .ok_or_else(|| CliError::Usage("--threads needs a value".into()))?;
+                set_thread_override(Some(typed("--threads", text, POSITIVE, positive::<usize>)?));
+                args.drain(i..i + 2);
+            }
+            _ => i += 1,
+        }
+    }
+    Ok(metrics_dump)
 }
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_dump = extract_metrics_dump(&mut args);
-    let result = extract_threads(&mut args).and_then(|()| match args.first().map(String::as_str) {
-        Some("tables") => no_extra(&args, 2, "tables [scale]")
-            .and_then(|()| parse_scale(args.get(1)))
-            .and_then(cmd_tables),
-        Some("figures") => no_extra(&args, 2, "figures [scale]")
-            .and_then(|()| parse_scale(args.get(1)))
-            .and_then(cmd_figures),
-        Some("export") => no_extra(&args, 2, "export [scale]")
-            .and_then(|()| parse_scale(args.get(1)))
-            .and_then(cmd_export),
-        Some("mkstore") => no_extra(&args, 3, "mkstore <version> <dir>")
-            .and_then(|()| cmd_mkstore(args.get(1), args.get(2))),
-        Some("audit") => no_extra(&args, 3, "audit <dir> <version>")
-            .and_then(|()| cmd_audit(args.get(1), args.get(2))),
-        Some("probe") => no_extra(&args, 1, "probe").and_then(|()| cmd_probe()),
-        Some("snap") => cmd_snap(&args[1..]),
-        Some("serve") => cmd_serve(args.get(1), &args[2..]),
-        Some("loadgen") => cmd_loadgen(args.get(1), &args[2..]),
-        Some("disparity") if args.iter().any(|a| a == "--from" || a == "--to") => {
-            cmd_disparity_drift(&args[1..])
+    let result = strip_globals(&mut args).and_then(|metrics_dump| {
+        let result = run(&args);
+        if metrics_dump {
+            eprint!("{}", obs::registry().dump_text());
         }
-        Some("disparity") => no_extra(&args, 2, "disparity [scale]")
-            .and_then(|()| parse_scale(args.get(1)))
-            .and_then(cmd_disparity),
-        Some("mitm") => cmd_mitm(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("stats") => no_extra(&args, 2, "stats [scale]")
-            .and_then(|()| parse_scale(args.get(1)))
-            .and_then(cmd_stats),
-        Some("trace") => no_extra(&args, 3, "trace <out.jsonl> [scale]")
-            .and_then(|()| cmd_trace(args.get(1), args.get(2))),
-        Some("bench-study") => cmd_bench_study(&args[1..]),
-        Some("bench-snap") => cmd_bench_snap(&args[1..]),
-        Some(other) => Err(CliError::Usage(format!(
-            "unknown subcommand '{other}'\n{}",
-            usage()
-        ))),
-        None => Err(CliError::Usage(usage())),
+        result
     });
-    if metrics_dump {
-        eprint!("{}", obs::registry().dump_text());
-    }
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
@@ -307,28 +323,56 @@ fn main() -> ExitCode {
     }
 }
 
-/// Reject stray positional arguments: anything beyond the first `max`
-/// (subcommand included) exits 2 with a one-line usage string, matching
-/// the serve/loadgen flag convention.
-fn no_extra(args: &[String], max: usize, usage_line: &str) -> Result<(), CliError> {
-    match args.get(max) {
-        Some(extra) => Err(CliError::Usage(format!(
-            "unexpected argument '{extra}' — usage: tangled {usage_line}"
-        ))),
-        None => Ok(()),
-    }
-}
+const SERVE_FLAGS: &[&str] = &["--snapshot", "--journal", "--compact-threshold"];
+const LOADGEN_FLAGS: &[&str] = &[
+    "--sessions",
+    "--seed",
+    "--op",
+    "--pipeline",
+    "--chaos-rate",
+    "--chaos-seed",
+    "--swaps",
+];
+const CHAOS_FLAGS: &[&str] = &[
+    "--seed",
+    "--requests",
+    "--rate",
+    "--busy-rate",
+    "--attempts",
+    "--out",
+];
 
-/// Parse an optional scale argument strictly: absent → 0.5; present but
-/// non-numeric, non-finite, or ≤ 0 → usage error.
-fn parse_scale(arg: Option<&String>) -> Result<f64, CliError> {
-    let Some(text) = arg else {
-        return Ok(0.5);
+fn run(args: &[String]) -> Result<(), CliError> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(CliError::Usage(usage()));
     };
-    match text.parse::<f64>() {
-        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
-        _ => Err(CliError::Usage(format!(
-            "invalid scale '{text}': want a number > 0"
+    match cmd.as_str() {
+        "tables" => cmd_tables(parse("tables", rest, &[], 1)?.scale(0)?),
+        "figures" => cmd_figures(parse("figures", rest, &[], 1)?.scale(0)?),
+        "export" => cmd_export(parse("export", rest, &[], 1)?.scale(0)?),
+        "mkstore" => cmd_mkstore(&parse("mkstore", rest, &[], 2)?),
+        "audit" => cmd_audit(&parse("audit", rest, &[], 2)?),
+        "probe" => parse("probe", rest, &[], 0).and_then(|_| cmd_probe()),
+        "snap" => cmd_snap(rest),
+        "serve" => cmd_serve(&parse("serve", rest, SERVE_FLAGS, 1)?),
+        "loadgen" => cmd_loadgen(&parse("loadgen", rest, LOADGEN_FLAGS, 1)?),
+        "disparity" => {
+            // `--from`/`--to` select the drift report, which takes no scale.
+            let drift = rest.iter().any(|a| a == "--from" || a == "--to");
+            let args = parse("disparity", rest, &["--from", "--to"], usize::from(!drift))?;
+            if drift {
+                cmd_disparity_drift(&args)
+            } else {
+                cmd_disparity(args.scale(0)?)
+            }
+        }
+        "mitm" => cmd_mitm(&parse("mitm", rest, &["--seed"], 1)?),
+        "chaos" => cmd_chaos(&parse("chaos", rest, CHAOS_FLAGS, 0)?),
+        "stats" => cmd_stats(parse("stats", rest, &[], 1)?.scale(0)?),
+        "trace" => cmd_trace(&parse("trace", rest, &[], 2)?),
+        other => Err(CliError::Usage(format!(
+            "unknown subcommand '{other}'\n{}",
+            usage()
         ))),
     }
 }
@@ -375,9 +419,9 @@ fn cmd_export(scale: f64) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_mkstore(version: Option<&String>, dir: Option<&String>) -> Result<(), CliError> {
-    let version = version.ok_or_else(|| CliError::Usage("mkstore needs a store name".into()))?;
-    let dir = dir.ok_or_else(|| CliError::Usage("mkstore needs an output directory".into()))?;
+fn cmd_mkstore(args: &Args) -> Result<(), CliError> {
+    let version = args.need(0, "a store name")?;
+    let dir = args.need(1, "an output directory")?;
     let store = parse_store(version)?.cached();
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     let files = to_cacerts_pem(&store);
@@ -389,10 +433,9 @@ fn cmd_mkstore(version: Option<&String>, dir: Option<&String>) -> Result<(), Cli
     Ok(())
 }
 
-fn cmd_audit(dir: Option<&String>, version: Option<&String>) -> Result<(), CliError> {
-    let dir = dir.ok_or_else(|| CliError::Usage("audit needs a cacerts directory".into()))?;
-    let version =
-        version.ok_or_else(|| CliError::Usage("audit needs a baseline store name".into()))?;
+fn cmd_audit(args: &Args) -> Result<(), CliError> {
+    let dir = args.need(0, "a cacerts directory")?;
+    let version = args.need(1, "a baseline store name")?;
     let baseline = parse_store(version)?.cached();
 
     let mut files = Vec::new();
@@ -408,11 +451,7 @@ fn cmd_audit(dir: Option<&String>, version: Option<&String>) -> Result<(), CliEr
     files.sort_by(|a, b| a.name.cmp(&b.name));
     let observed = from_cacerts(dir, &files, AnchorSource::Unknown)
         .map_err(|e| format!("reading {dir}: {e}"))?;
-    let report = audit(
-        &baseline,
-        &observed,
-        Time::date(2014, 2, 1).expect("valid date"),
-    );
+    let report = audit(&baseline, &observed, study_time());
     print!("{}", report.render());
     Ok(())
 }
@@ -446,21 +485,16 @@ fn cmd_probe() -> Result<(), CliError> {
 }
 
 fn cmd_snap(args: &[String]) -> Result<(), CliError> {
-    let sub = args.first().ok_or_else(|| {
-        CliError::Usage("snap needs a mode: write|read|verify|delta|materialize".into())
-    })?;
-    match sub.as_str() {
-        "delta" => return cmd_snap_delta(&args[1..]),
-        "materialize" => return cmd_snap_materialize(&args[1..]),
-        _ => {}
-    }
-    let file = args
-        .get(1)
-        .ok_or_else(|| CliError::Usage(format!("snap {sub} needs a file path")))?;
-    match sub.as_str() {
+    let Some((mode, rest)) = args.split_first() else {
+        return Err(CliError::Usage(
+            "snap needs a mode: write|read|verify|delta|materialize".into(),
+        ));
+    };
+    match mode.as_str() {
         "write" => {
-            no_extra(args, 3, "snap write <file> [scale]")?;
-            let scale = parse_scale(args.get(2))?;
+            let args = parse("snap write", rest, &[], 2)?;
+            let file = args.need(0, "a file path")?;
+            let scale = args.scale(1)?;
             eprintln!("generating study at scale {scale}…");
             let study = Study::new(scale, scale.max(0.25));
             let summary =
@@ -472,16 +506,16 @@ fn cmd_snap(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "read" => {
-            no_extra(args, 2, "snap read <file>")?;
+            let file = parse("snap read", rest, &[], 1)?.need(0, "a file path")?.to_owned();
             eprintln!("loading study from {file}…");
-            let study = load_study(file).map_err(|e| format!("loading {file}: {e}"))?;
+            let study = load_study(&file).map_err(|e| format!("loading {file}: {e}"))?;
             println!("{}", tables::dataset_summary(&study.population).render());
             print!("{}", tables::render_all(&study));
             Ok(())
         }
         "verify" => {
-            no_extra(args, 2, "snap verify <file>")?;
-            let snap = Snapshot::open(file).map_err(|e| format!("opening {file}: {e}"))?;
+            let file = parse("snap verify", rest, &[], 1)?.need(0, "a file path")?.to_owned();
+            let snap = Snapshot::open(&file).map_err(|e| format!("opening {file}: {e}"))?;
             let report = snap.verify_report();
             let mut damaged = 0usize;
             for row in &report {
@@ -509,57 +543,25 @@ fn cmd_snap(args: &[String]) -> Result<(), CliError> {
             }
             Ok(())
         }
+        "delta" => cmd_snap_delta(&parse("snap delta", rest, &["--out"], 3)?),
+        "materialize" => {
+            cmd_snap_materialize(&parse("snap materialize", rest, &["--out"], usize::MAX)?)
+        }
         other => Err(CliError::Usage(format!(
             "unknown snap mode '{other}' (want write|read|verify|delta|materialize)"
         ))),
     }
 }
 
-/// Split a snap sub-mode's arguments into positionals and an `--out`
-/// destination.
-fn split_out_flag(args: &[String]) -> Result<(Vec<&String>, Option<String>), CliError> {
-    let mut positional = Vec::new();
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError::Usage("--out needs a value".into()))?,
-                );
-            }
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("unknown snap flag '{flag}'")));
-            }
-            _ => positional.push(arg),
-        }
-    }
-    Ok((positional, out))
-}
-
-/// Parse a trailing epoch argument.
-fn parse_epoch(text: &str) -> Result<u64, CliError> {
-    text.parse().map_err(|_| {
-        CliError::Usage(format!("invalid epoch '{text}': want an unsigned integer"))
-    })
-}
-
 /// `tangled snap delta <base> <target> <epoch> --out <file>` — encode
 /// `target`'s sections as a delta over `base`: sections whose checksum
 /// matches the base dedup away, the rest ride in the delta.
-fn cmd_snap_delta(args: &[String]) -> Result<(), CliError> {
-    let (pos, out) = split_out_flag(args)?;
-    let [base_path, target_path, epoch] = pos.as_slice() else {
-        return Err(CliError::Usage(
-            "usage: tangled snap delta <base> <target> <epoch> --out <file>".into(),
-        ));
-    };
-    let epoch = parse_epoch(epoch)?;
-    let out = out.ok_or_else(|| CliError::Usage("snap delta needs --out <file>".into()))?;
-    let base =
-        std::fs::read(base_path.as_str()).map_err(|e| format!("reading {base_path}: {e}"))?;
+fn cmd_snap_delta(args: &Args) -> Result<(), CliError> {
+    let base_path = args.need(0, "<base>")?;
+    let target_path = args.need(1, "<target>")?;
+    let epoch: u64 = typed("epoch", args.need(2, "<epoch>")?, UINT, any)?;
+    let out = args.need_flag("--out")?;
+    let base = std::fs::read(base_path).map_err(|e| format!("reading {base_path}: {e}"))?;
     let target = Snapshot::open(target_path).map_err(|e| format!("opening {target_path}: {e}"))?;
     let mut sections = Vec::new();
     for entry in target.entries() {
@@ -572,7 +574,7 @@ fn cmd_snap_delta(args: &[String]) -> Result<(), CliError> {
     }
     let delta = tangled_mass::snap::encode_delta(&sections, &base, epoch)
         .map_err(|e| format!("encoding delta: {e}"))?;
-    std::fs::write(&out, &delta.bytes).map_err(|e| format!("writing {out}: {e}"))?;
+    std::fs::write(out, &delta.bytes).map_err(|e| format!("writing {out}: {e}"))?;
     eprintln!(
         "delta: {} bytes -> {out} (epoch {epoch}, base {:016x})",
         delta.bytes.len(),
@@ -593,16 +595,12 @@ fn cmd_snap_delta(args: &[String]) -> Result<(), CliError> {
 /// `tangled snap materialize <chain...> <epoch> [--out <file>]` —
 /// materialise a base+delta chain at a point in time; verify every link
 /// and, with `--out`, write the reassembled full snapshot.
-fn cmd_snap_materialize(args: &[String]) -> Result<(), CliError> {
-    let (pos, out) = split_out_flag(args)?;
-    if pos.len() < 2 {
-        return Err(CliError::Usage(
-            "usage: tangled snap materialize <chain...> <epoch> [--out <file>]".into(),
-        ));
-    }
-    let epoch = parse_epoch(pos[pos.len() - 1])?;
-    let chain: Vec<String> = pos[..pos.len() - 1].iter().map(|s| s.to_string()).collect();
-    let m = tangled_mass::snap::materialize_chain(&chain, epoch)
+fn cmd_snap_materialize(args: &Args) -> Result<(), CliError> {
+    let Some((epoch, chain)) = args.pos.split_last().filter(|(_, chain)| !chain.is_empty()) else {
+        return Err(args.usage_error("snap materialize needs <chain...> <epoch>"));
+    };
+    let epoch: u64 = typed("epoch", epoch, UINT, any)?;
+    let m = tangled_mass::snap::materialize_chain(chain, epoch)
         .map_err(|e| format!("materialising chain: {e}"))?;
     eprintln!(
         "materialize: {} of {} chain file(s) applied; epoch {}; {} bytes",
@@ -622,44 +620,18 @@ fn cmd_snap_materialize(args: &[String]) -> Result<(), CliError> {
             entry.len, entry.checksum
         );
     }
-    if let Some(out) = out {
-        std::fs::write(&out, &m.bytes).map_err(|e| format!("writing {out}: {e}"))?;
+    if let Some(out) = args.flags.get("--out") {
+        std::fs::write(out, &m.bytes).map_err(|e| format!("writing {out}: {e}"))?;
         println!("materialize: wrote {out} at epoch {}", m.epoch);
     }
     Ok(())
 }
 
-fn cmd_serve(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
-    let addr = addr.ok_or_else(|| {
-        CliError::Usage("serve needs a listen address (e.g. 127.0.0.1:7433)".into())
-    })?;
-    let mut snapshot: Option<String> = None;
-    let mut journal_path: Option<String> = None;
-    let mut compact_threshold: Option<u64> = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let value = |v: Option<&String>| {
-            v.cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--snapshot" => snapshot = Some(value(it.next())?),
-            "--journal" => journal_path = Some(value(it.next())?),
-            "--compact-threshold" => {
-                let v = value(it.next())?;
-                let bytes: u64 = v.parse().map_err(|_| {
-                    CliError::Usage(format!("invalid --compact-threshold '{v}': want bytes > 0"))
-                })?;
-                if bytes == 0 {
-                    return Err(CliError::Usage(
-                        "--compact-threshold must be > 0 bytes".into(),
-                    ));
-                }
-                compact_threshold = Some(bytes);
-            }
-            other => return Err(CliError::Usage(format!("unknown serve flag '{other}'"))),
-        }
-    }
+fn cmd_serve(args: &Args) -> Result<(), CliError> {
+    let addr = args.need(0, "a listen address (e.g. 127.0.0.1:7433)")?;
+    let snapshot = args.flags.get("--snapshot");
+    let journal_path = args.flags.get("--journal");
+    let compact_threshold: Option<u64> = args.opt("--compact-threshold", "bytes > 0", positive)?;
     if compact_threshold.is_some() && journal_path.is_none() {
         return Err(CliError::Usage(
             "--compact-threshold needs --journal (compaction folds the swap journal)".into(),
@@ -669,19 +641,11 @@ fn cmd_serve(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
     // A prior compaction leaves a checkpoint beside the journal; when one
     // exists, warm start from the base+checkpoint chain so the folded
     // swap history is already applied before the journal tail replays.
-    let ckpt_path = journal_path.as_ref().map(|p| format!("{p}.ckpt"));
-    let has_ckpt = ckpt_path
-        .as_ref()
-        .is_some_and(|p| std::path::Path::new(p).exists());
+    let ckpt_path = journal_path.map(|p| format!("{p}.ckpt"));
     let mut chain_state: Option<TrustState> = None;
     let mut chain_index: Option<StoreIndex> = None;
-    if has_ckpt {
-        let ckpt = ckpt_path.clone().expect("checked above");
-        let mut chain: Vec<String> = Vec::new();
-        if let Some(path) = &snapshot {
-            chain.push(path.clone());
-        }
-        chain.push(ckpt.clone());
+    if let Some(ckpt) = ckpt_path.as_ref().filter(|p| std::path::Path::new(p).exists()) {
+        let chain: Vec<String> = snapshot.into_iter().chain([ckpt]).cloned().collect();
         eprintln!("warm-starting from checkpoint chain {}…", chain.join(" + "));
         let start = index_from_chain(&chain).map_err(|e| format!("materialising {ckpt}: {e}"))?;
         if let Some(state) = &start.state {
@@ -695,7 +659,7 @@ fn cmd_serve(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
         chain_index = Some(start.index);
     }
 
-    let service = match (chain_index, &snapshot) {
+    let service = match (chain_index, snapshot) {
         (Some(index), _) => Arc::new(TrustService::with_index(index, DEFAULT_CACHE_CAPACITY)),
         (None, Some(path)) => {
             eprintln!("warm-starting store profiles from {path}…");
@@ -727,7 +691,7 @@ fn cmd_serve(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
             Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY))
         }
     };
-    if let Some(path) = &journal_path {
+    if let Some(path) = journal_path {
         let (journal, records, recovery) =
             Journal::open(path).map_err(|e| format!("opening {path}: {e}"))?;
         if recovery.truncated {
@@ -755,12 +719,9 @@ fn cmd_serve(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
             // the checkpoint's state (if any) plus the replayed tail. The
             // base snapshot rides along so the checkpoint stays a
             // self-describing delta over it.
-            let base = match &snapshot {
-                Some(path) => {
-                    Some(std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?)
-                }
-                None => None,
-            };
+            let base = snapshot
+                .map(|path| std::fs::read(path).map_err(|e| format!("reading {path}: {e}")))
+                .transpose()?;
             let mut state = chain_state.unwrap_or_default();
             state.absorb(&records);
             let ckpt = ckpt_path.expect("journal path implies checkpoint path");
@@ -775,7 +736,7 @@ fn cmd_serve(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
     // The flushed "trustd listening on" line is what the loadgen smoke
     // test and perfbench parse. The bound server must stay in scope for
     // the lifetime of the process.
-    let server = EventServer::bind(addr.as_str(), service, workers)
+    let server = EventServer::bind(addr, service, workers)
         .map_err(|e| format!("binding {addr}: {e}"))?;
     println!(
         "trustd listening on {} ({workers} workers, event core)",
@@ -795,114 +756,38 @@ enum LoadOp {
     Mitm,
 }
 
-/// `loadgen`'s flags, parsed. A repeated flag overrides the earlier one.
-struct LoadgenArgs {
-    sessions: usize,
-    seed: u64,
-    op: LoadOp,
-    pipeline: usize,
-    chaos_rate: f64,
-    chaos_seed: u64,
-    swaps: Option<usize>,
-}
+impl FromStr for LoadOp {
+    type Err = ();
 
-fn parse_op(v: &str) -> Result<LoadOp, CliError> {
-    Ok(match v {
-        "mixed" => LoadOp::Replay(ReplayOp::Mixed),
-        "compare" => LoadOp::Replay(ReplayOp::Compare),
-        "batch" => LoadOp::Replay(ReplayOp::Batch),
-        "mitm" => LoadOp::Mitm,
-        other => {
-            return Err(CliError::Usage(format!(
-                "invalid --op '{other}': want mixed|compare|batch|mitm"
-            )))
-        }
-    })
-}
-
-fn parse_loadgen(rest: &[String]) -> Result<LoadgenArgs, CliError> {
-    let mut args = LoadgenArgs {
-        sessions: 100,
-        seed: 2014,
-        op: LoadOp::Replay(ReplayOp::Mixed),
-        pipeline: 1,
-        chaos_rate: 0.0,
-        chaos_seed: 7,
-        swaps: None,
-    };
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let value = |v: Option<&String>| {
-            v.cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--sessions" => {
-                let v = value(it.next())?;
-                args.sessions = v.parse().map_err(|_| {
-                    CliError::Usage(format!("invalid --sessions '{v}': want an integer > 0"))
-                })?;
-                if args.sessions == 0 {
-                    return Err(CliError::Usage("--sessions must be > 0".into()));
-                }
-            }
-            "--seed" => {
-                let v = value(it.next())?;
-                args.seed = v.parse().map_err(|_| {
-                    CliError::Usage(format!("invalid --seed '{v}': want an unsigned integer"))
-                })?;
-            }
-            "--op" => args.op = parse_op(&value(it.next())?)?,
-            "--pipeline" => {
-                let v = value(it.next())?;
-                args.pipeline = v.parse().ok().filter(|&n: &usize| n > 0).ok_or_else(|| {
-                    CliError::Usage(format!("invalid --pipeline '{v}': want an integer > 0"))
-                })?;
-            }
-            "--chaos-rate" => {
-                let v = value(it.next())?;
-                args.chaos_rate = match v.parse::<f64>() {
-                    Ok(r) if (0.0..=1.0).contains(&r) => r,
-                    _ => {
-                        return Err(CliError::Usage(format!(
-                            "invalid --chaos-rate '{v}': want a number in [0, 1]"
-                        )))
-                    }
-                };
-            }
-            "--chaos-seed" => {
-                let v = value(it.next())?;
-                args.chaos_seed = v.parse().map_err(|_| {
-                    CliError::Usage(format!(
-                        "invalid --chaos-seed '{v}': want an unsigned integer"
-                    ))
-                })?;
-            }
-            "--swaps" => {
-                let v = value(it.next())?;
-                args.swaps = Some(v.parse().ok().filter(|&n: &usize| n > 0).ok_or_else(|| {
-                    CliError::Usage(format!("invalid --swaps '{v}': want an integer > 0"))
-                })?);
-            }
-            other => {
-                return Err(CliError::Usage(format!("unknown loadgen flag '{other}'")));
-            }
-        }
+    fn from_str(op: &str) -> Result<LoadOp, ()> {
+        Ok(match op {
+            "mixed" => LoadOp::Replay(ReplayOp::Mixed),
+            "compare" => LoadOp::Replay(ReplayOp::Compare),
+            "batch" => LoadOp::Replay(ReplayOp::Batch),
+            "mitm" => LoadOp::Mitm,
+            _ => return Err(()),
+        })
     }
-    Ok(args)
 }
 
-fn cmd_loadgen(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
-    let addr = addr
-        .ok_or_else(|| CliError::Usage("loadgen needs a server address".into()))?
-        .clone();
-    let args = parse_loadgen(rest)?;
-    if let Some(swaps) = args.swaps {
-        return drive_swaps(&addr, swaps);
+/// `loadgen --op`, defaulting to the mixed replay; the last `--op` wins.
+fn load_op(args: &Args) -> Result<LoadOp, CliError> {
+    args.get("--op", LoadOp::Replay(ReplayOp::Mixed), "mixed|compare|batch|mitm", any)
+}
+
+fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
+    let addr = args.need(0, "a server address")?;
+    let sessions: usize = args.get("--sessions", 100, POSITIVE, positive)?;
+    let seed: u64 = args.get("--seed", 2014, UINT, any)?;
+    let op = load_op(args)?;
+    let pipeline: usize = args.get("--pipeline", 1, POSITIVE, positive)?;
+    let chaos_rate = args.get("--chaos-rate", 0.0, RATE, rate)?;
+    let chaos_seed: u64 = args.get("--chaos-seed", 7, UINT, any)?;
+    if let Some(swaps) = args.opt("--swaps", POSITIVE, positive)? {
+        return drive_swaps(addr, swaps);
     }
-    let (sessions, seed) = (args.sessions, args.seed);
-    let link = if args.chaos_rate > 0.0 {
-        if args.pipeline > 1 {
+    let link = if chaos_rate > 0.0 {
+        if pipeline > 1 {
             return Err(CliError::Usage(
                 "--pipeline applies to the clean replay path; the chaos path \
                  retries one request at a time"
@@ -910,18 +795,18 @@ fn cmd_loadgen(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
             ));
         }
         Link::Lossy {
-            seed: args.chaos_seed,
-            rate: args.chaos_rate,
+            seed: chaos_seed,
+            rate: chaos_rate,
         }
     } else {
         Link::Clean {
-            depth: args.pipeline,
+            depth: pipeline,
             seed,
         }
     };
 
     // --op only chooses the plan; everything after it is one path.
-    let (requests, scenario_spec) = match args.op {
+    let (requests, scenario_spec) = match op {
         LoadOp::Replay(op) => (
             queries_for(&ReplaySpec::new(seed, sessions).with_op(op)),
             None,
@@ -938,7 +823,7 @@ fn cmd_loadgen(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
         "replaying {} requests against {addr} ({link:?})…",
         requests.len()
     );
-    let outcome = drive(addr.as_str(), &requests, link).map_err(CliError::Failure)?;
+    let outcome = drive(addr, &requests, link).map_err(CliError::Failure)?;
 
     let throughput = outcome.requests as f64 / outcome.elapsed.as_secs_f64().max(1e-9);
     let hits = outcome.stats["cache"]["hits"].as_u64().unwrap_or(0);
@@ -996,7 +881,7 @@ fn cmd_loadgen(addr: Option<&String>, rest: &[String]) -> Result<(), CliError> {
         )
         .into());
     }
-    match args.op {
+    match op {
         LoadOp::Mitm => {
             println!("loadgen: probe_session replies match the offline scenario exactly")
         }
@@ -1064,31 +949,9 @@ fn cmd_disparity(scale: f64) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_mitm(rest: &[String]) -> Result<(), CliError> {
-    let mut seed = 2014u64;
-    let mut scale_arg: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--seed needs a value".into()))?;
-                seed = v.parse().map_err(|_| {
-                    CliError::Usage(format!("invalid --seed '{v}': want an unsigned integer"))
-                })?;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("unknown mitm flag '{flag}'")));
-            }
-            _ => {
-                if scale_arg.replace(arg.clone()).is_some() {
-                    return Err(CliError::Usage("mitm [scale] [--seed S]".into()));
-                }
-            }
-        }
-    }
-    let scale = parse_scale(scale_arg.as_ref())?;
+fn cmd_mitm(args: &Args) -> Result<(), CliError> {
+    let seed: u64 = args.get("--seed", 2014, UINT, any)?;
+    let scale = args.scale(0)?;
     let spec = scenario::ScenarioSpec::for_scale(scale, seed);
     eprintln!(
         "running interception scenarios at scale {scale}: {} clients x {} strategies, \
@@ -1109,29 +972,11 @@ fn cmd_mitm(rest: &[String]) -> Result<(), CliError> {
 /// `tangled disparity --from a.snap --to b.snap` — longitudinal drift
 /// between two point-in-time store states: per-profile anchor churn,
 /// Jaccard similarity, and the exactly-k membership migration.
-fn cmd_disparity_drift(args: &[String]) -> Result<(), CliError> {
-    let mut from: Option<String> = None;
-    let mut to: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = |v: Option<&String>| {
-            v.cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--from" => from = Some(value(it.next())?),
-            "--to" => to = Some(value(it.next())?),
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown disparity drift flag '{other}'"
-                )))
-            }
-        }
-    }
-    let from = from.ok_or_else(|| CliError::Usage("drift needs --from <snap>".into()))?;
-    let to = to.ok_or_else(|| CliError::Usage("drift needs --to <snap>".into()))?;
-    let from_snap = Snapshot::open(&from).map_err(|e| format!("opening {from}: {e}"))?;
-    let to_snap = Snapshot::open(&to).map_err(|e| format!("opening {to}: {e}"))?;
+fn cmd_disparity_drift(args: &Args) -> Result<(), CliError> {
+    let from = args.need_flag("--from")?;
+    let to = args.need_flag("--to")?;
+    let from_snap = Snapshot::open(from).map_err(|e| format!("opening {from}: {e}"))?;
+    let to_snap = Snapshot::open(to).map_err(|e| format!("opening {to}: {e}"))?;
     eprintln!("computing drift {from} -> {to}…");
     let report = tangled_mass::disparity::compute_drift(&from_snap, &to_snap)
         .map_err(|e| format!("computing drift: {e}"))?;
@@ -1139,73 +984,16 @@ fn cmd_disparity_drift(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_chaos(rest: &[String]) -> Result<(), CliError> {
-    let mut spec = ChaosSpec::default();
-    let mut out: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let value = |v: Option<&String>| {
-            v.cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--seed" => {
-                let v = value(it.next())?;
-                spec.seed = v.parse().map_err(|_| {
-                    CliError::Usage(format!("invalid --seed '{v}': want an unsigned integer"))
-                })?;
-            }
-            "--requests" => {
-                let v = value(it.next())?;
-                spec.requests = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "invalid --requests '{v}': want an integer > 0"
-                        ))
-                    })?;
-            }
-            "--rate" => {
-                let v = value(it.next())?;
-                spec.rate = match v.parse::<f64>() {
-                    Ok(r) if (0.0..=1.0).contains(&r) => r,
-                    _ => {
-                        return Err(CliError::Usage(format!(
-                            "invalid --rate '{v}': want a number in [0, 1]"
-                        )))
-                    }
-                };
-            }
-            "--busy-rate" => {
-                let v = value(it.next())?;
-                spec.busy_rate = match v.parse::<f64>() {
-                    Ok(r) if (0.0..=1.0).contains(&r) => r,
-                    _ => {
-                        return Err(CliError::Usage(format!(
-                            "invalid --busy-rate '{v}': want a number in [0, 1]"
-                        )))
-                    }
-                };
-            }
-            "--attempts" => {
-                let v = value(it.next())?;
-                spec.max_attempts = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &u32| n > 0)
-                    .ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "invalid --attempts '{v}': want an integer > 0"
-                        ))
-                    })?;
-            }
-            "--out" => out = Some(value(it.next())?),
-            other => return Err(CliError::Usage(format!("unknown chaos flag '{other}'"))),
-        }
-    }
-
+fn cmd_chaos(args: &Args) -> Result<(), CliError> {
+    let d = ChaosSpec::default();
+    let spec = ChaosSpec {
+        seed: args.get("--seed", d.seed, UINT, any)?,
+        requests: args.get("--requests", d.requests, POSITIVE, positive)?,
+        rate: args.get("--rate", d.rate, RATE, rate)?,
+        busy_rate: args.get("--busy-rate", d.busy_rate, RATE, rate)?,
+        max_attempts: args.get("--attempts", d.max_attempts, POSITIVE, positive)?,
+        ..d
+    };
     eprintln!(
         "chaos: seed {} · {} requests · fault rate {} · busy rate {} · {} attempts",
         spec.seed,
@@ -1215,7 +1003,7 @@ fn cmd_chaos(rest: &[String]) -> Result<(), CliError> {
         spec.max_attempts,
     );
     let report = chaos::run(&spec);
-    match &out {
+    match args.flags.get("--out") {
         Some(path) => {
             std::fs::write(path, &report.ledger).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("chaos: ledger -> {path}");
@@ -1359,9 +1147,9 @@ fn cmd_stats(scale: f64) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_trace(out: Option<&String>, scale: Option<&String>) -> Result<(), CliError> {
-    let out = out.ok_or_else(|| CliError::Usage("trace needs an output path".into()))?;
-    let scale = parse_scale(scale)?;
+fn cmd_trace(args: &Args) -> Result<(), CliError> {
+    let out = args.need(0, "an output path")?;
+    let scale = args.scale(1)?;
     let eco_scale = scale.max(0.25);
     let threads = thread_count();
 
@@ -1396,298 +1184,13 @@ fn cmd_trace(out: Option<&String>, scale: Option<&String>) -> Result<(), CliErro
     Ok(())
 }
 
-/// Run `f` and return (result, wall seconds).
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed().as_secs_f64())
-}
-
-fn cmd_bench_study(rest: &[String]) -> Result<(), CliError> {
-    let mut scale = 0.25f64;
-    let mut out = String::from("BENCH_study.json");
-    let mut it = rest.iter();
-    let mut scale_seen = false;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| CliError::Usage("--out needs a value".into()))?;
-            }
-            text if !text.starts_with("--") && !scale_seen => {
-                scale = match text.parse::<f64>() {
-                    Ok(s) if s.is_finite() && s > 0.0 => s,
-                    _ => {
-                        return Err(CliError::Usage(format!(
-                            "invalid scale '{text}': want a number > 0"
-                        )))
-                    }
-                };
-                scale_seen = true;
-            }
-            other => {
-                return Err(CliError::Usage(format!("unknown bench-study flag '{other}'")));
-            }
-        }
-    }
-
-    let threads = thread_count();
-    let eco_scale = scale.max(0.25);
-    let eco_spec = EcosystemSpec::scaled(eco_scale);
-    let pop_spec = PopulationSpec::scaled(scale);
-    eprintln!("bench-study: scale {scale}, comparing 1 thread vs {threads}…");
-
-    // Warm-up primes the process-wide CA factory (one-time RSA key
-    // minting) so the stage timings measure pipeline work, not keygen.
-    let _ = timed(|| Ecosystem::generate(&eco_spec));
-    let _ = timed(|| Population::generate(&pop_spec));
-
-    let mut stages = Vec::new();
-    let mut record = |name: &str, t1: f64, tn: f64| {
-        let speedup = t1 / tn.max(1e-9);
-        eprintln!("  {name}: {t1:.3}s @1 -> {tn:.3}s @{threads} ({speedup:.2}x)");
-        stages.push(json!({
-            "stage": name,
-            "seconds_1thread": t1,
-            "seconds": tn,
-            "speedup": speedup,
-        }));
-    };
-
-    // Each stage runs once pinned to 1 thread and once at the ambient
-    // width; the signature memo is cleared before every timed run so both
-    // measure the same cold-verification work.
-    set_thread_override(Some(1));
-    sig_memo_clear();
-    let (_, e1) = timed(|| Ecosystem::generate(&eco_spec));
-    set_thread_override(Some(threads));
-    sig_memo_clear();
-    let (eco, en) = timed(|| Ecosystem::generate(&eco_spec));
-    record("ecosystem_generate", e1, en);
-
-    set_thread_override(Some(1));
-    sig_memo_clear();
-    let (_, v1) = timed(|| ValidationIndex::build(&eco));
-    set_thread_override(Some(threads));
-    sig_memo_clear();
-    let (_, vn) = timed(|| ValidationIndex::build(&eco));
-    record("validation_build", v1, vn);
-
-    set_thread_override(Some(1));
-    let (_, p1) = timed(|| Population::generate(&pop_spec));
-    set_thread_override(Some(threads));
-    let (_, pn) = timed(|| Population::generate(&pop_spec));
-    record("population_generate", p1, pn);
-
-    let plan = FaultPlan::new(404).with_rate(0.05);
-    set_thread_override(Some(1));
-    sig_memo_clear();
-    let (_, f1) = timed(|| Study::with_faults(scale, eco_scale, &plan));
-    set_thread_override(Some(threads));
-    sig_memo_clear();
-    let (_, fn_) = timed(|| Study::with_faults(scale, eco_scale, &plan));
-    record("with_faults", f1, fn_);
-
-    set_thread_override(Some(1));
-    let (_, t1) = timed(StoreIndex::with_reference_profiles);
-    set_thread_override(Some(threads));
-    let (_, tn) = timed(StoreIndex::with_reference_profiles);
-    record("trustd_preload", t1, tn);
-    set_thread_override(None);
-
-    let doc = json!({
-        "benchmark": "study-pipeline",
-        "scale": scale,
-        "ecosystem_scale": eco_scale,
-        "threads": threads,
-        "stages": stages,
-    });
-    let rendered = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-    std::fs::write(&out, format!("{rendered}\n")).map_err(|e| e.to_string())?;
-    println!("bench-study: wrote {out}");
-    Ok(())
-}
-
-fn cmd_bench_snap(rest: &[String]) -> Result<(), CliError> {
-    let mut scale = 0.25f64;
-    let mut out = String::from("BENCH_snap.json");
-    let mut it = rest.iter();
-    let mut scale_seen = false;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| CliError::Usage("--out needs a value".into()))?;
-            }
-            text if !text.starts_with("--") && !scale_seen => {
-                scale = match text.parse::<f64>() {
-                    Ok(s) if s.is_finite() && s > 0.0 => s,
-                    _ => {
-                        return Err(CliError::Usage(format!(
-                            "invalid scale '{text}': want a number > 0"
-                        )))
-                    }
-                };
-                scale_seen = true;
-            }
-            other => {
-                return Err(CliError::Usage(format!("unknown bench-snap flag '{other}'")));
-            }
-        }
-    }
-
-    let threads = thread_count();
-    let eco_scale = scale.max(0.25);
-    eprintln!("bench-snap: scale {scale} ({threads} threads)…");
-
-    // The cold path is everything a fresh process pays: key minting,
-    // certificate synthesis, validation. The warm path parses the same
-    // corpus back out of one file.
-    sig_memo_clear();
-    let (study, cold_s) = timed(|| Study::new(scale, eco_scale));
-    let path = std::env::temp_dir().join(format!("tangled-bench-snap-{}.bin", std::process::id()));
-    let path = path.to_string_lossy().into_owned();
-    let (summary, write_s) = timed(|| write_study(&study, &path));
-    let summary = summary.map_err(|e| format!("writing {path}: {e}"))?;
-    let (loaded, load_s) = timed(|| load_study(&path));
-    let loaded = loaded.map_err(|e| format!("loading {path}: {e}"))?;
-    let _ = std::fs::remove_file(&path);
-
-    // The loaded study must be indistinguishable in every rendered table.
-    if tables::render_all(&loaded) != tables::render_all(&study) {
-        return Err("loaded study diverges from the generated one".into());
-    }
-
-    let speedup = cold_s / load_s.max(1e-9);
-    eprintln!("  cold generate: {cold_s:.3}s");
-    eprintln!("  snapshot write: {write_s:.3}s ({} bytes)", summary.bytes);
-    eprintln!("  snapshot load: {load_s:.3}s ({speedup:.2}x vs cold)");
-
-    let recovery = bench_journal_recovery()?;
-
-    let doc = json!({
-        "benchmark": "snapshot",
-        "scale": scale,
-        "ecosystem_scale": eco_scale,
-        "threads": threads,
-        "snapshot_bytes": summary.bytes,
-        "cold_generate_seconds": cold_s,
-        "snapshot_write_seconds": write_s,
-        "snapshot_load_seconds": load_s,
-        "speedup": speedup,
-        "journal_recovery": recovery,
-    });
-    let rendered = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-    std::fs::write(&out, format!("{rendered}\n")).map_err(|e| e.to_string())?;
-    println!("bench-snap: wrote {out}");
-    Ok(())
-}
-
-/// Recovery-cost comparison: replaying an unbounded swap journal is
-/// O(total swaps ever); recovering from a compacted checkpoint + empty
-/// journal is O(current state). Both paths must land on the same epoch.
-fn bench_journal_recovery() -> Result<Vec<serde_json::Value>, CliError> {
-    use tangled_mass::pki::RootStore;
-
-    let anchors = ReferenceStore::Aosp41.cached().enabled_certificates();
-    let dir = std::env::temp_dir().join(format!("tangled-bench-journal-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let mut rows = Vec::new();
-    for history in [64usize, 256] {
-        // A churn history: swaps rotate over four profiles so the fold
-        // keeps 4 records however long the journal grows.
-        let records: Vec<SwapRecord> = (0..history)
-            .map(|i| {
-                let mut store = RootStore::new("canary");
-                store.add_cert(anchors[i % anchors.len()].clone(), AnchorSource::Unknown);
-                SwapRecord {
-                    profile: format!("canary-{}", i % 4),
-                    epoch: 11 + i as u64,
-                    store: store.snapshot(),
-                }
-            })
-            .collect();
-
-        let journal_path = dir.join(format!("swaps-{history}.journal"));
-        let journal_path = journal_path.to_string_lossy().into_owned();
-        let (mut journal, _, _) =
-            Journal::open(&journal_path).map_err(|e| format!("opening {journal_path}: {e}"))?;
-        for record in &records {
-            journal.append(record).map_err(|e| e.to_string())?;
-        }
-        let journal_bytes = journal.size();
-        drop(journal);
-
-        // Unbounded: replay the full history.
-        let (unbounded, unbounded_s) = timed(|| -> Result<u64, String> {
-            let (_, replayed, _) =
-                Journal::open(&journal_path).map_err(|e| e.to_string())?;
-            let index = StoreIndex::with_standard_profiles();
-            replay_journal(&index, &replayed).map_err(|e| e.to_string())?;
-            Ok(index.current_epoch())
-        });
-        let unbounded_epoch = unbounded?;
-
-        // Compacted: fold the history into a checkpoint, truncate the
-        // journal, then recover from checkpoint + empty journal.
-        let state = TrustState::fold(&records);
-        let ckpt = encode_checkpoint(None, &state).map_err(|e| e.to_string())?;
-        let ckpt_path = dir.join(format!("swaps-{history}.journal.ckpt"));
-        let ckpt_path = ckpt_path.to_string_lossy().into_owned();
-        std::fs::write(&ckpt_path, &ckpt.bytes).map_err(|e| e.to_string())?;
-        let (mut journal, _, _) =
-            Journal::open(&journal_path).map_err(|e| e.to_string())?;
-        journal.reset().map_err(|e| e.to_string())?;
-        let ckpt_bytes = journal.size() + ckpt.bytes.len() as u64;
-        drop(journal);
-
-        let (compacted, compacted_s) = timed(|| -> Result<u64, String> {
-            let start = index_from_chain(std::slice::from_ref(&ckpt_path))
-                .map_err(|e| e.to_string())?;
-            let (_, tail, _) = Journal::open(&journal_path).map_err(|e| e.to_string())?;
-            replay_journal(&start.index, &tail).map_err(|e| e.to_string())?;
-            Ok(start.index.current_epoch())
-        });
-        let compacted_epoch = compacted?;
-        if compacted_epoch != unbounded_epoch {
-            return Err(format!(
-                "compacted recovery lands on epoch {compacted_epoch}, unbounded on \
-                 {unbounded_epoch}"
-            )
-            .into());
-        }
-
-        let recovery_speedup = unbounded_s / compacted_s.max(1e-9);
-        eprintln!(
-            "  journal recovery ({history} swaps): unbounded {unbounded_s:.4}s \
-             ({journal_bytes} bytes), compacted {compacted_s:.4}s ({ckpt_bytes} bytes, \
-             {recovery_speedup:.2}x)"
-        );
-        rows.push(json!({
-            "history_swaps": history,
-            "journal_bytes": journal_bytes,
-            "checkpoint_bytes": ckpt_bytes,
-            "unbounded_replay_seconds": unbounded_s,
-            "compacted_recovery_seconds": compacted_s,
-            "speedup": recovery_speedup,
-            "epoch": unbounded_epoch,
-        }));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn loadgen_op(flags: &[&str]) -> Result<LoadOp, CliError> {
         let flags: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
-        parse_loadgen(&flags).map(|args| args.op)
+        load_op(&parse("loadgen", &flags, LOADGEN_FLAGS, 1)?)
     }
 
     #[test]
