@@ -408,6 +408,17 @@ impl Uint {
         (Uint::from_limbs(out), rem as u64)
     }
 
+    /// `self mod d` for a single-limb divisor, without allocating.
+    ///
+    /// # Panics
+    /// Panics if `d == 0`.
+    pub(crate) fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "division by zero");
+        self.limbs.iter().rev().fold(0u64, |rem, &limb| {
+            ((((rem as u128) << 64) | limb as u128) % d as u128) as u64
+        })
+    }
+
     /// `self mod m`.
     pub fn rem(&self, m: &Uint) -> Result<Uint, CryptoError> {
         Ok(self.div_rem(m)?.1)

@@ -7,7 +7,7 @@
 //! Bleichenbacher-style lenient parsing).
 
 use crate::bigint::Uint;
-use crate::modular::{lcm, mod_inv, mod_pow};
+use crate::modular::{lcm, mod_inv, mod_mul, mod_pow, mod_sub};
 use crate::prime::gen_prime_coprime;
 use crate::rng::SplitMix64;
 use crate::sha1::sha1;
@@ -103,11 +103,30 @@ impl RsaPublicKey {
     }
 }
 
-/// An RSA key pair with full private material.
-#[derive(Debug, Clone)]
+/// An RSA key pair, its private half in the CRT representation (RFC 8017
+/// §3.2, second form) that signing uses. The private exponent
+/// `d = e⁻¹ mod λ(n)` itself is not kept: `dP` and `dQ` are its residues.
+#[derive(Clone)]
 pub struct RsaKeyPair {
     public: RsaPublicKey,
-    d: Uint,
+    /// The prime factors `n = p·q`.
+    p: Uint,
+    q: Uint,
+    /// `dP = d mod (p − 1)`.
+    dp: Uint,
+    /// `dQ = d mod (q − 1)`.
+    dq: Uint,
+    /// `qInv = q⁻¹ mod p`.
+    qinv: Uint,
+}
+
+/// Prints only the modulus size: the private material never reaches a log.
+impl std::fmt::Debug for RsaKeyPair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RsaKeyPair")
+            .field("modulus_bits", &self.public.modulus.bit_len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl RsaKeyPair {
@@ -130,17 +149,23 @@ impl RsaKeyPair {
             if n.bit_len() != modulus_bits {
                 continue; // product fell one bit short; redraw
             }
-            let lambda = lcm(&p.sub(&Uint::one()), &q.sub(&Uint::one()));
-            let d = match mod_inv(&e, &lambda) {
+            let (p1, q1) = (p.sub(&Uint::one()), q.sub(&Uint::one()));
+            let d = match mod_inv(&e, &lcm(&p1, &q1)) {
                 Ok(d) => d,
                 Err(_) => continue,
             };
+            // Distinct primes are coprime, so q is invertible mod p.
+            let qinv = mod_inv(&q, &p)?;
             return Ok(RsaKeyPair {
                 public: RsaPublicKey {
                     modulus: n,
                     exponent: e,
                 },
-                d,
+                dp: d.rem(&p1)?,
+                dq: d.rem(&q1)?,
+                p,
+                q,
+                qinv,
             });
         }
         Err(CryptoError::KeyGenExhausted)
@@ -152,6 +177,11 @@ impl RsaKeyPair {
     }
 
     /// Sign `message` with RSASSA-PKCS1-v1_5.
+    ///
+    /// Computes `s = m^d mod n` by the Chinese remainder theorem (RFC 8017
+    /// §5.1.2, step 2b): two half-size exponentiations mod `p` and `q`,
+    /// then Garner's recombination. The result is the same integer as the
+    /// full-width exponentiation, so the signature bytes are too.
     pub fn sign(
         &self,
         alg: SignatureAlgorithm,
@@ -160,7 +190,11 @@ impl RsaKeyPair {
         let k = self.public.modulus_len();
         let em = emsa_pkcs1_v15(alg, message, k)?;
         let m = Uint::from_be_bytes(&em);
-        let s = mod_pow(&m, &self.d, &self.public.modulus)?;
+        let m1 = mod_pow(&m, &self.dp, &self.p)?;
+        let m2 = mod_pow(&m, &self.dq, &self.q)?;
+        // h = qInv·(m1 − m2) mod p; s = m2 + h·q.
+        let h = mod_mul(&self.qinv, &mod_sub(&m1, &m2, &self.p)?, &self.p)?;
+        let s = m2.add(&h.mul(&self.q));
         s.to_be_bytes_padded(k).ok_or(CryptoError::MessageTooLong)
     }
 }
@@ -275,7 +309,37 @@ mod tests {
         let a = keypair(42);
         let b = keypair(42);
         assert_eq!(a.public_key(), b.public_key());
-        assert_eq!(a.d, b.d);
+        assert_eq!((&a.p, &a.q, &a.dp, &a.dq, &a.qinv), (&b.p, &b.q, &b.dp, &b.dq, &b.qinv));
+    }
+
+    #[test]
+    fn crt_sign_equals_full_width_exponentiation() {
+        for (bits, seed) in [(512usize, 11u64), (768, 12), (1024, 13)] {
+            let kp = RsaKeyPair::generate(bits, &mut SplitMix64::new(seed)).unwrap();
+            let n = &kp.public.modulus;
+            let lambda = lcm(&kp.p.sub(&Uint::one()), &kp.q.sub(&Uint::one()));
+            let d = mod_inv(&kp.public.exponent, &lambda).unwrap();
+            assert_eq!(kp.p.mul(&kp.q), *n);
+            for msg in [&b""[..], b"crt", b"a longer message signed by every key size"] {
+                for alg in [SignatureAlgorithm::Sha1WithRsa, SignatureAlgorithm::Sha256WithRsa] {
+                    let em = emsa_pkcs1_v15(alg, msg, kp.public.modulus_len()).unwrap();
+                    let full = mod_pow(&Uint::from_be_bytes(&em), &d, n).unwrap();
+                    let sig = kp.sign(alg, msg).unwrap();
+                    assert_eq!(sig, full.to_be_bytes_padded(kp.public.modulus_len()).unwrap());
+                    kp.public.verify(alg, msg, &sig).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn debug_redacts_private_material() {
+        let kp = keypair(10);
+        let shown = format!("{kp:?}");
+        assert_eq!(shown, "RsaKeyPair { modulus_bits: 512, .. }");
+        for secret in [&kp.p, &kp.q, &kp.dp, &kp.dq, &kp.qinv] {
+            assert!(!shown.contains(&secret.to_hex()));
+        }
     }
 
     #[test]

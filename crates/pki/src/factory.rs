@@ -15,6 +15,7 @@ use tangled_asn1::Time;
 use tangled_crypto::rsa::{RsaKeyPair, SignatureAlgorithm};
 use tangled_crypto::sha256::sha256;
 use tangled_crypto::{SplitMix64, Uint};
+use tangled_exec::ExecPool;
 use tangled_x509::{Certificate, CertificateBuilder, DistinguishedName, X509Error};
 
 /// Issuance parameters for a root certificate.
@@ -64,7 +65,7 @@ impl std::fmt::Debug for CaFactory {
         f.debug_struct("CaFactory")
             .field("seed", &self.seed)
             .field("key_bits", &self.key_bits)
-            .field("cached_keys", &self.keys.len())
+            .field("cached_keys", &self.cached_keys())
             .field("cached_certs", &self.certs.len())
             .finish()
     }
@@ -92,13 +93,42 @@ impl CaFactory {
         if let Some(kp) = self.keys.get(key_name) {
             return Arc::clone(kp);
         }
-        let mut rng = SplitMix64::new(self.derive_seed(key_name));
-        let kp = Arc::new(
-            RsaKeyPair::generate(self.key_bits, &mut rng)
-                .expect("key sizes are validated at construction"),
-        );
+        let kp = Arc::new(self.generate(key_name));
         self.keys.insert(key_name.to_owned(), Arc::clone(&kp));
         kp
+    }
+
+    /// Generate every key pair in `names` that the cache lacks, in
+    /// parallel on the ambient [`ExecPool`], and cache them in name order.
+    ///
+    /// Each key is a pure function of (factory seed, key name), so the
+    /// cache ends up exactly as the equivalent [`CaFactory::keypair`] calls
+    /// would leave it, at any pool width; later `keypair` calls for these
+    /// names are cache hits.
+    pub fn prefetch<S: AsRef<str>>(&mut self, names: &[S]) {
+        let mut missing: Vec<&str> = names
+            .iter()
+            .map(AsRef::as_ref)
+            .filter(|name| !self.keys.contains_key(*name))
+            .collect();
+        missing.sort_unstable();
+        missing.dedup();
+        let this = &*self;
+        let keys = ExecPool::current().par_map_indexed(&missing, |_, name| this.generate(name));
+        for (name, kp) in missing.iter().zip(keys) {
+            self.keys.insert((*name).to_owned(), Arc::new(kp));
+        }
+    }
+
+    /// Number of key pairs in the cache.
+    pub fn cached_keys(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn generate(&self, key_name: &str) -> RsaKeyPair {
+        let mut rng = SplitMix64::new(self.derive_seed(key_name));
+        RsaKeyPair::generate(self.key_bits, &mut rng)
+            .expect("key sizes are validated at construction")
     }
 
     fn derive_seed(&self, key_name: &str) -> u64 {
@@ -268,6 +298,25 @@ mod tests {
         inter.verify_issued_by(&root).unwrap();
         leaf.verify_issued_by(&inter).unwrap();
         assert_eq!(leaf.dns_names(), &["www.example.net".to_string()]);
+    }
+
+    #[test]
+    fn prefetch_matches_sequential_keygen_at_any_width() {
+        let names = ["Prefetch A", "Prefetch C", "Prefetch B", "Prefetch A"];
+        let mut sequential = CaFactory::with_seed(5, 512);
+        for width in [1, 2, 4] {
+            let mut f = CaFactory::with_seed(5, 512);
+            f.keypair("Prefetch B");
+            tangled_exec::set_thread_override(Some(width));
+            f.prefetch(&names);
+            tangled_exec::set_thread_override(None);
+            assert_eq!(f.cached_keys(), 3, "duplicates and cached names skipped");
+            for name in names {
+                let before = f.cached_keys();
+                assert_eq!(f.keypair(name).public_key(), sequential.keypair(name).public_key());
+                assert_eq!(f.cached_keys(), before, "a prefetched key is a cache hit");
+            }
+        }
     }
 
     #[test]

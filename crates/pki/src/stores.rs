@@ -123,17 +123,21 @@ impl ReferenceStore {
 
     /// Build the store using a shared factory.
     pub fn build_with(self, f: &mut CaFactory) -> RootStore {
-        let mut store = RootStore::new(self.name());
-        match self {
-            ReferenceStore::Aosp41 => build_aosp(f, &mut store, AndroidVersion::V4_1),
-            ReferenceStore::Aosp42 => build_aosp(f, &mut store, AndroidVersion::V4_2),
-            ReferenceStore::Aosp43 => build_aosp(f, &mut store, AndroidVersion::V4_3),
-            ReferenceStore::Aosp44 => build_aosp(f, &mut store, AndroidVersion::V4_4),
-            ReferenceStore::Mozilla => build_mozilla(f, &mut store),
-            ReferenceStore::Ios7 => build_ios7(f, &mut store),
-        }
+        let store = mint_manifest(f, self.name(), &self.manifest());
         debug_assert_eq!(store.len(), self.expected_len());
         store
+    }
+
+    /// The store's anchors, in store order, before minting.
+    pub(crate) fn manifest(self) -> Vec<Entry> {
+        match self {
+            ReferenceStore::Aosp41 => aosp_manifest(AndroidVersion::V4_1),
+            ReferenceStore::Aosp42 => aosp_manifest(AndroidVersion::V4_2),
+            ReferenceStore::Aosp43 => aosp_manifest(AndroidVersion::V4_3),
+            ReferenceStore::Aosp44 => aosp_manifest(AndroidVersion::V4_4),
+            ReferenceStore::Mozilla => mozilla_manifest(),
+            ReferenceStore::Ios7 => ios7_manifest(),
+        }
     }
 }
 
@@ -215,15 +219,19 @@ impl EcosystemStore {
 
     /// Build the store using a shared factory.
     pub fn build_with(self, f: &mut CaFactory) -> RootStore {
-        let mut store = RootStore::new(self.name());
-        match self {
-            EcosystemStore::Apple => build_apple(f, &mut store),
-            EcosystemStore::Microsoft => build_microsoft(f, &mut store),
-            EcosystemStore::MozillaNss => build_nss(f, &mut store),
-            EcosystemStore::Java => build_java(f, &mut store),
-        }
+        let store = mint_manifest(f, self.name(), &self.manifest());
         debug_assert_eq!(store.len(), self.expected_len());
         store
+    }
+
+    /// The store's anchors, in store order, before minting.
+    pub(crate) fn manifest(self) -> Vec<Entry> {
+        match self {
+            EcosystemStore::Apple => apple_manifest(),
+            EcosystemStore::Microsoft => microsoft_manifest(),
+            EcosystemStore::MozillaNss => nss_manifest(),
+            EcosystemStore::Java => java_manifest(),
+        }
     }
 }
 
@@ -247,6 +255,77 @@ pub fn global_factory() -> &'static std::sync::Mutex<CaFactory> {
     use std::sync::{Mutex, OnceLock};
     static FACTORY: OnceLock<Mutex<CaFactory>> = OnceLock::new();
     FACTORY.get_or_init(|| Mutex::new(CaFactory::new()))
+}
+
+/// Every key name the ten standard stores carry, plus the whole Figure 2
+/// catalogue (which `class_index` and the simulators mint beyond the
+/// stores' own extras), each once, in first-seen order. This is what a
+/// server start-up prefetches with [`CaFactory::prefetch`].
+pub fn standard_key_names() -> Vec<String> {
+    let manifests = ReferenceStore::ALL
+        .into_iter()
+        .map(ReferenceStore::manifest)
+        .chain(EcosystemStore::ALL.into_iter().map(EcosystemStore::manifest));
+    let mut seen = std::collections::HashSet::new();
+    manifests
+        .flatten()
+        .map(|e| e.key_name())
+        .chain(catalogue().iter().map(ExtraCert::key_name))
+        .filter(|name| seen.insert(name.clone()))
+        .collect()
+}
+
+/// One anchor of a store manifest: what to mint, and under which key.
+#[derive(Debug, Clone)]
+pub(crate) enum Entry {
+    /// The default root for a name (the Firmaprofesional root keeps its
+    /// expired validity window).
+    Root(String),
+    /// The re-issued variant of a named root ([`CaFactory::reissued_root`]).
+    Reissued(String),
+    /// A Figure 2 extra ([`mint_extra`]).
+    Extra(ExtraCert),
+}
+
+impl Entry {
+    /// The factory key name the entry's certificate is signed with.
+    pub(crate) fn key_name(&self) -> String {
+        match self {
+            Entry::Root(name) | Entry::Reissued(name) => name.clone(),
+            Entry::Extra(extra) => extra.key_name(),
+        }
+    }
+
+    /// Mint (or fetch from the factory cache) the entry's certificate.
+    pub(crate) fn mint(&self, f: &mut CaFactory) -> std::sync::Arc<tangled_x509::Certificate> {
+        match self {
+            Entry::Root(name) => mint_root(f, name),
+            Entry::Reissued(name) => f.reissued_root(name),
+            Entry::Extra(extra) => mint_extra(f, extra),
+        }
+    }
+}
+
+/// A store named `name` holding a manifest's anchors, in manifest order.
+fn mint_manifest(f: &mut CaFactory, name: &str, manifest: &[Entry]) -> RootStore {
+    let mut store = RootStore::new(name);
+    for entry in manifest {
+        store.add_cert(entry.mint(f), AnchorSource::Aosp);
+    }
+    store
+}
+
+/// [`Entry::Root`]s named `name(i)` for each `i`.
+fn roots(
+    range: std::ops::RangeInclusive<usize>,
+    name: fn(usize) -> String,
+) -> impl Iterator<Item = Entry> {
+    range.map(move |i| Entry::Root(name(i)))
+}
+
+/// [`Entry::Extra`]s for the catalogue members `pick` selects.
+fn extras(pick: fn(&ExtraCert) -> bool) -> impl Iterator<Item = Entry> {
+    catalogue().into_iter().filter(pick).map(Entry::Extra)
 }
 
 // --- composition constants ------------------------------------------------
@@ -318,59 +397,35 @@ fn mint_root(f: &mut CaFactory, name: &str) -> std::sync::Arc<tangled_x509::Cert
     }
 }
 
-fn build_aosp(f: &mut CaFactory, store: &mut RootStore, v: AndroidVersion) {
+fn aosp_manifest(v: AndroidVersion) -> Vec<Entry> {
     let (n_exact, n_reissued, n_only) = aosp_composition(v);
-    for i in 1..=n_exact {
-        store.add_cert(mint_root(f, &shared_exact_name(i)), AnchorSource::Aosp);
-    }
-    for i in 1..=n_reissued {
+    roots(1..=n_exact, shared_exact_name)
         // AOSP carries the *re-issued* variant; Mozilla the original.
-        store.add_cert(
-            f.reissued_root(&shared_reissued_name(i)),
-            AnchorSource::Aosp,
-        );
-    }
-    for i in 1..=n_only {
-        store.add_cert(mint_root(f, &aosp_only_name(i)), AnchorSource::Aosp);
-    }
+        .chain((1..=n_reissued).map(|i| Entry::Reissued(shared_reissued_name(i))))
+        .chain(roots(1..=n_only, aosp_only_name))
+        .collect()
 }
 
-fn build_mozilla(f: &mut CaFactory, store: &mut RootStore) {
-    for i in 1..=SHARED_EXACT {
-        store.add_cert(mint_root(f, &shared_exact_name(i)), AnchorSource::Aosp);
-    }
-    for i in 1..=SHARED_REISSUED {
+fn mozilla_manifest() -> Vec<Entry> {
+    roots(1..=SHARED_EXACT, shared_exact_name)
         // The original issue — byte-unequal to AOSP's copy, same identity.
-        store.add_cert(f.root(&shared_reissued_name(i)), AnchorSource::Aosp);
-    }
-    // The 16 Figure 2 extras that are Mozilla members.
-    for extra in catalogue().iter().filter(|e| e.in_mozilla) {
-        store.add_cert(mint_extra(f, extra), AnchorSource::Aosp);
-    }
-    for i in 1..=MOZILLA_ONLY_SYNTHETIC {
-        store.add_cert(mint_root(f, &mozilla_only_name(i)), AnchorSource::Aosp);
-    }
+        .chain(roots(1..=SHARED_REISSUED, shared_reissued_name))
+        // The 16 Figure 2 extras that are Mozilla members.
+        .chain(extras(|e| e.in_mozilla))
+        .chain(roots(1..=MOZILLA_ONLY_SYNTHETIC, mozilla_only_name))
+        .collect()
 }
 
-fn build_ios7(f: &mut CaFactory, store: &mut RootStore) {
-    for i in 1..=SHARED_EXACT {
-        store.add_cert(mint_root(f, &shared_exact_name(i)), AnchorSource::Aosp);
-    }
-    for i in 1..=SHARED_REISSUED {
-        store.add_cert(f.root(&shared_reissued_name(i)), AnchorSource::Aosp);
-    }
-    // iOS 7 carries some of the AOSP-only regional roots too.
-    for i in 1..=AOSP_ONLY_IN_IOS7 {
-        // Skip the expired Firmaprofesional (index 1) — Apple dropped it.
-        store.add_cert(mint_root(f, &aosp_only_name(i + 1)), AnchorSource::Aosp);
-    }
-    // The 24 Figure 2 extras that are iOS 7 members (incl. DoD CLASS 3).
-    for extra in catalogue().iter().filter(|e| e.in_ios7) {
-        store.add_cert(mint_extra(f, extra), AnchorSource::Aosp);
-    }
-    for i in 1..=IOS7_ONLY_SYNTHETIC {
-        store.add_cert(mint_root(f, &ios7_only_name(i)), AnchorSource::Aosp);
-    }
+fn ios7_manifest() -> Vec<Entry> {
+    roots(1..=SHARED_EXACT, shared_exact_name)
+        .chain(roots(1..=SHARED_REISSUED, shared_reissued_name))
+        // iOS 7 carries some of the AOSP-only regional roots too, but not
+        // the expired Firmaprofesional (index 1) — Apple dropped it.
+        .chain(roots(2..=AOSP_ONLY_IN_IOS7 + 1, aosp_only_name))
+        // The 24 Figure 2 extras that are iOS 7 members (incl. DoD CLASS 3).
+        .chain(extras(|e| e.in_ios7))
+        .chain(roots(1..=IOS7_ONLY_SYNTHETIC, ios7_only_name))
+        .collect()
 }
 
 // --- ecosystem family compositions ---------------------------------------
@@ -420,87 +475,48 @@ pub fn java_only_name(i: usize) -> String {
     format!("Java SE Cacerts Root CA {i:02}")
 }
 
-fn build_apple(f: &mut CaFactory, store: &mut RootStore) {
-    for i in 1..=SHARED_EXACT {
-        store.add_cert(mint_root(f, &shared_exact_name(i)), AnchorSource::Aosp);
-    }
-    for i in 1..=SHARED_REISSUED {
+fn apple_manifest() -> Vec<Entry> {
+    roots(1..=SHARED_EXACT, shared_exact_name)
         // Desktop ships the original issue, like iOS 7.
-        store.add_cert(f.root(&shared_reissued_name(i)), AnchorSource::Aosp);
-    }
-    for i in 1..=AOSP_ONLY_IN_IOS7 {
+        .chain(roots(1..=SHARED_REISSUED, shared_reissued_name))
         // Same regional roots iOS 7 carries (Firmaprofesional dropped).
-        store.add_cert(mint_root(f, &aosp_only_name(i + 1)), AnchorSource::Aosp);
-    }
-    for extra in catalogue().iter().filter(|e| e.in_ios7) {
-        store.add_cert(mint_extra(f, extra), AnchorSource::Aosp);
-    }
-    for i in 1..=APPLE_PARTNER_SHARED {
-        store.add_cert(mint_root(f, &ios7_only_name(i)), AnchorSource::Aosp);
-    }
-    for i in 1..=APPLE_ONLY_SYNTHETIC {
-        store.add_cert(mint_root(f, &apple_only_name(i)), AnchorSource::Aosp);
-    }
+        .chain(roots(2..=AOSP_ONLY_IN_IOS7 + 1, aosp_only_name))
+        .chain(extras(|e| e.in_ios7))
+        .chain(roots(1..=APPLE_PARTNER_SHARED, ios7_only_name))
+        .chain(roots(1..=APPLE_ONLY_SYNTHETIC, apple_only_name))
+        .collect()
 }
 
-fn build_microsoft(f: &mut CaFactory, store: &mut RootStore) {
-    for i in 1..=SHARED_EXACT {
-        store.add_cert(mint_root(f, &shared_exact_name(i)), AnchorSource::Aosp);
-    }
-    for i in 1..=SHARED_REISSUED {
-        store.add_cert(f.root(&shared_reissued_name(i)), AnchorSource::Aosp);
-    }
-    for i in 1..=AOSP_ONLY_IN_IOS7 - 1 {
+fn microsoft_manifest() -> Vec<Entry> {
+    roots(1..=SHARED_EXACT, shared_exact_name)
+        .chain(roots(1..=SHARED_REISSUED, shared_reissued_name))
         // One fewer regional root than Apple/iOS carry.
-        store.add_cert(mint_root(f, &aosp_only_name(i + 1)), AnchorSource::Aosp);
-    }
-    for i in 1..=MOZILLA_ONLY_SYNTHETIC {
-        store.add_cert(mint_root(f, &mozilla_only_name(i)), AnchorSource::Aosp);
-    }
-    for extra in catalogue().iter().filter(|e| e.in_mozilla) {
-        store.add_cert(mint_extra(f, extra), AnchorSource::Aosp);
-    }
-    for i in 1..=MICROSOFT_ONLY_SYNTHETIC {
-        store.add_cert(mint_root(f, &microsoft_only_name(i)), AnchorSource::Aosp);
-    }
+        .chain(roots(2..=AOSP_ONLY_IN_IOS7, aosp_only_name))
+        .chain(roots(1..=MOZILLA_ONLY_SYNTHETIC, mozilla_only_name))
+        .chain(extras(|e| e.in_mozilla))
+        .chain(roots(1..=MICROSOFT_ONLY_SYNTHETIC, microsoft_only_name))
+        .collect()
 }
 
-fn build_nss(f: &mut CaFactory, store: &mut RootStore) {
+fn nss_manifest() -> Vec<Entry> {
     // Trunk trails the release store by two core anchors and carries a
     // handful of not-yet-released builtins — a near-clone of "Mozilla"
     // with a distinct anchor set (the §5.2 shape, across ecosystems).
-    for i in 1..=NSS_SHARED_EXACT {
-        store.add_cert(mint_root(f, &shared_exact_name(i)), AnchorSource::Aosp);
-    }
-    for i in 1..=SHARED_REISSUED {
-        store.add_cert(f.root(&shared_reissued_name(i)), AnchorSource::Aosp);
-    }
-    for extra in catalogue().iter().filter(|e| e.in_mozilla) {
-        store.add_cert(mint_extra(f, extra), AnchorSource::Aosp);
-    }
-    for i in 1..=MOZILLA_ONLY_SYNTHETIC {
-        store.add_cert(mint_root(f, &mozilla_only_name(i)), AnchorSource::Aosp);
-    }
-    for i in 1..=NSS_ONLY_SYNTHETIC {
-        store.add_cert(mint_root(f, &nss_only_name(i)), AnchorSource::Aosp);
-    }
+    roots(1..=NSS_SHARED_EXACT, shared_exact_name)
+        .chain(roots(1..=SHARED_REISSUED, shared_reissued_name))
+        .chain(extras(|e| e.in_mozilla))
+        .chain(roots(1..=MOZILLA_ONLY_SYNTHETIC, mozilla_only_name))
+        .chain(roots(1..=NSS_ONLY_SYNTHETIC, nss_only_name))
+        .collect()
 }
 
-fn build_java(f: &mut CaFactory, store: &mut RootStore) {
-    for i in 1..=JAVA_SHARED_EXACT {
-        store.add_cert(mint_root(f, &shared_exact_name(i)), AnchorSource::Aosp);
-    }
-    for i in 1..=SHARED_REISSUED {
+fn java_manifest() -> Vec<Entry> {
+    roots(1..=JAVA_SHARED_EXACT, shared_exact_name)
         // cacerts ships the *re-issued* variant like AOSP: identity-equal
         // to the originals, byte-unequal — cross-ecosystem §5.1 ablation.
-        store.add_cert(
-            f.reissued_root(&shared_reissued_name(i)),
-            AnchorSource::Aosp,
-        );
-    }
-    for i in 1..=JAVA_ONLY_SYNTHETIC {
-        store.add_cert(mint_root(f, &java_only_name(i)), AnchorSource::Aosp);
-    }
+        .chain((1..=SHARED_REISSUED).map(|i| Entry::Reissued(shared_reissued_name(i))))
+        .chain(roots(1..=JAVA_ONLY_SYNTHETIC, java_only_name))
+        .collect()
 }
 
 /// A §5.2 "+unusual" near-clone: same display name as `base`, same

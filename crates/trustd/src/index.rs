@@ -21,12 +21,23 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use tangled_pki::store::RootStore;
-use tangled_pki::stores::{EcosystemStore, ReferenceStore};
+use tangled_pki::stores::{global_factory, standard_key_names, EcosystemStore, ReferenceStore};
 use tangled_x509::{CertIdentity, ChainVerifier};
 
 /// Default shard count: enough to spread a handful of worker threads,
 /// cheap enough to scan for membership teardown on swap.
 pub const DEFAULT_SHARDS: usize = 16;
+
+/// Generate every key the standard stores and the Figure 2 catalogue
+/// need in parallel on the ambient [`tangled_exec::ExecPool`], so the
+/// store builds (and `class_index`) that follow only sign. Keys are pure
+/// in (seed, name): the minted bytes do not depend on this step.
+fn prefetch_standard_keys() {
+    global_factory()
+        .lock()
+        .expect("factory poisoned")
+        .prefetch(&standard_key_names());
+}
 
 /// One installed store profile. Immutable once published.
 #[derive(Clone)]
@@ -62,12 +73,14 @@ impl StoreIndex {
     /// An index preloaded with all six reference stores (the four AOSP
     /// releases, Mozilla, iOS 7), each under its canonical name.
     ///
-    /// The per-store anchor verifiers (the expensive part of a profile
+    /// Every standard key is first generated in parallel (see
+    /// `prefetch_standard_keys`). The per-store anchor verifiers (the expensive part of a profile
     /// install) are built in parallel on the ambient
     /// [`tangled_exec::ExecPool`]; installs then publish sequentially in
     /// [`ReferenceStore::ALL`] order, so profile epochs are identical at
     /// any thread count.
     pub fn with_reference_profiles() -> StoreIndex {
+        prefetch_standard_keys();
         Self::preloaded(
             ReferenceStore::ALL
                 .into_iter()
@@ -80,8 +93,11 @@ impl StoreIndex {
     /// reference stores (epochs 1–6, [`ReferenceStore::ALL`] order)
     /// followed by the four ecosystem families (epochs 7–10,
     /// [`EcosystemStore::ALL`] order) — the store set the disparity
-    /// engine compares and the `compare` wire op answers for.
+    /// engine compares and the `compare` wire op answers for. Keys are
+    /// prefetched and verifiers built as for
+    /// [`StoreIndex::with_reference_profiles`].
     pub fn with_standard_profiles() -> StoreIndex {
+        prefetch_standard_keys();
         Self::preloaded(
             ReferenceStore::ALL
                 .into_iter()
