@@ -267,6 +267,11 @@ impl Snapshot {
         self.data.len()
     }
 
+    /// The full container bytes, as parsed.
+    pub fn bytes(&self) -> &[u8] {
+        &self.data
+    }
+
     /// A section body, checksum-verified on access.
     pub fn section(&self, id: SectionId) -> Result<&[u8], SnapError> {
         let entry = self

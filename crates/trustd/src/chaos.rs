@@ -279,12 +279,7 @@ pub fn run(spec: &ChaosSpec) -> ChaosReport {
                         Attempt::Mismatch(c)
                     }
                 }
-                Err(e) => Attempt::Transport(match e {
-                    crate::client::ClientError::Io(_) => "transport",
-                    crate::client::ClientError::Protocol(_) => "protocol",
-                    crate::client::ClientError::Closed => "disconnect",
-                    crate::client::ClientError::TimedOut => "timeout",
-                }),
+                Err(e) => Attempt::Transport(crate::resilient::classify(&e)),
             };
 
             let injected = !faults.is_empty();

@@ -115,7 +115,7 @@ impl StoreIndex {
     /// profile install) are built in parallel on the ambient
     /// [`tangled_exec::ExecPool`]; installs then publish sequentially in
     /// list order, so profile epochs are identical at any thread count.
-    fn preloaded(stores: Vec<(&'static str, Arc<RootStore>)>) -> StoreIndex {
+    pub(crate) fn preloaded(stores: Vec<(&'static str, Arc<RootStore>)>) -> StoreIndex {
         let index = StoreIndex::new(DEFAULT_SHARDS);
         let verifiers = tangled_exec::ExecPool::current()
             .par_map_indexed(&stores, |_, (_, store)| build_anchor_verifier(store));

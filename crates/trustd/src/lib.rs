@@ -50,7 +50,5 @@ pub use replay::{
 pub use resilient::{Connect, ResilientClient, ResilientError, RetryPolicy, TcpConnector};
 pub use service::{TrustService, DEFAULT_CACHE_CAPACITY};
 pub use stats::LatencyHistogram;
-pub use warm::{
-    degraded_index_from_snapshot, index_from_chain, index_from_snapshot, replay_journal,
-};
+pub use warm::{start, StartError, Started};
 pub use wire::{ChainVerdict, FrameError, Request, Response, WireError, MAX_FRAME};

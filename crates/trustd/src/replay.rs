@@ -223,12 +223,7 @@ pub fn verdict_fingerprint(verdicts: &[String]) -> u64 {
 /// flag — a verdict must not depend on whether the memo cache answered.
 pub fn canonical(resp: &Response) -> String {
     match resp {
-        Response::Validate { verdict, .. } => match verdict {
-            ChainVerdict::Trusted { anchor, chain_len } => {
-                format!("validate/trusted/{anchor}/{chain_len}")
-            }
-            ChainVerdict::Untrusted { error } => format!("validate/untrusted/{error}"),
-        },
+        Response::Validate { verdict, .. } => format!("validate/{verdict}"),
         Response::Classify { class, profiles } => {
             format!("classify/{class}/{}", profiles.join(","))
         }
@@ -251,29 +246,14 @@ pub fn canonical(resp: &Response) -> String {
         } => {
             let parts: Vec<String> = verdicts
                 .iter()
-                .map(|(store, v)| match v {
-                    ChainVerdict::Trusted { anchor, chain_len } => {
-                        format!("{store}=trusted/{anchor}/{chain_len}")
-                    }
-                    ChainVerdict::Untrusted { error } => {
-                        format!("{store}=untrusted/{error}")
-                    }
-                })
+                .map(|(store, verdict)| format!("{store}={verdict}"))
                 .collect();
             format!("compare/{chain_key}/{}", parts.join("|"))
         }
         Response::BatchValidate {
             profile, verdicts, ..
         } => {
-            let parts: Vec<String> = verdicts
-                .iter()
-                .map(|v| match v {
-                    ChainVerdict::Trusted { anchor, chain_len } => {
-                        format!("trusted/{anchor}/{chain_len}")
-                    }
-                    ChainVerdict::Untrusted { error } => format!("untrusted/{error}"),
-                })
-                .collect();
+            let parts: Vec<String> = verdicts.iter().map(ChainVerdict::to_string).collect();
             format!("batch_validate/{profile}/{}", parts.join("|"))
         }
         Response::Swap {

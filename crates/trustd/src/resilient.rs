@@ -99,17 +99,12 @@ pub trait Connect {
 pub struct TcpConnector {
     /// The server address.
     pub addr: SocketAddr,
-    /// Optional reply-deadline override (consecutive idle ticks).
-    pub response_ticks: Option<u32>,
 }
 
 impl TcpConnector {
     /// A connector for `addr` with default deadlines.
     pub fn new(addr: SocketAddr) -> TcpConnector {
-        TcpConnector {
-            addr,
-            response_ticks: None,
-        }
+        TcpConnector { addr }
     }
 }
 
@@ -117,11 +112,7 @@ impl Connect for TcpConnector {
     type Stream = TcpStream;
 
     fn connect(&mut self) -> io::Result<TrustClient<TcpStream>> {
-        let mut client = TrustClient::connect(self.addr)?;
-        if let Some(ticks) = self.response_ticks {
-            client.set_response_ticks(ticks);
-        }
-        Ok(client)
+        TrustClient::connect(self.addr)
     }
 }
 
@@ -233,28 +224,8 @@ impl<C: Connect> ResilientClient<C> {
                 anchors: outcome.anchors.unwrap_or(0),
             });
         }
-        debug_assert!(req.is_idempotent());
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.try_once(req) {
-                Ok(Response::Busy) => {
-                    if attempt >= self.policy.max_attempts {
-                        return Err(ResilientError::Shed { attempts: attempt });
-                    }
-                }
-                Ok(resp) => return Ok(resp),
-                Err(label) => {
-                    if attempt >= self.policy.max_attempts {
-                        return Err(ResilientError::Exhausted {
-                            label,
-                            attempts: attempt,
-                        });
-                    }
-                }
-            }
-            self.note_retry(attempt);
-        }
+        let mut replies = self.call_pipelined(std::slice::from_ref(req))?;
+        Ok(replies.pop().expect("one reply per request"))
     }
 
     /// Issue an idempotent request chunk as one pipelined burst, with the
@@ -264,10 +235,7 @@ impl<C: Connect> ResilientClient<C> {
     /// for pure reads, which is why `swap` is excluded). An admission
     /// shed (`busy`) likewise retries the whole chunk on a fresh
     /// connection. Replies come back in request order.
-    pub fn call_pipelined(
-        &mut self,
-        reqs: &[Request],
-    ) -> Result<Vec<Response>, ResilientError> {
+    pub fn call_pipelined(&mut self, reqs: &[Request]) -> Result<Vec<Response>, ResilientError> {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
@@ -275,7 +243,7 @@ impl<C: Connect> ResilientClient<C> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            match self.try_pipeline_once(reqs) {
+            match self.try_burst(reqs) {
                 Ok(Some(replies)) => return Ok(replies),
                 Ok(None) => {
                     if attempt >= self.policy.max_attempts {
@@ -295,12 +263,11 @@ impl<C: Connect> ResilientClient<C> {
         }
     }
 
-    /// One pipelined attempt. `Ok(None)` is an admission shed (the burst
-    /// was answered with `busy`); any failure tears the connection down.
-    fn try_pipeline_once(
-        &mut self,
-        reqs: &[Request],
-    ) -> Result<Option<Vec<Response>>, &'static str> {
+    /// One attempt at a request burst: connect if needed, send, classify
+    /// failures. `Ok(None)` is an admission shed (the burst was answered
+    /// with `busy`); a shed or any failure tears the connection down so
+    /// the next attempt starts fresh.
+    fn try_burst(&mut self, reqs: &[Request]) -> Result<Option<Vec<Response>>, &'static str> {
         if self.conn.is_none() {
             match self.connector.connect() {
                 Ok(client) => {
@@ -312,9 +279,7 @@ impl<C: Connect> ResilientClient<C> {
         }
         let client = self.conn.as_mut().expect("connection just ensured");
         match client.pipeline(reqs) {
-            Ok(replies)
-                if replies.last().is_some_and(|r| matches!(r, Response::Busy)) =>
-            {
+            Ok(replies) if replies.last().is_some_and(|r| matches!(r, Response::Busy)) => {
                 self.busy += 1;
                 metrics::add("trustd.client.busy", 1);
                 self.conn = None;
@@ -355,36 +320,35 @@ impl<C: Connect> ResilientClient<C> {
         loop {
             attempt += 1;
             let before = self.profile_epoch(profile)?;
-            match self.try_once(&req) {
-                Ok(Response::Swap {
-                    profile,
-                    epoch,
-                    anchors,
-                }) => {
-                    return Ok(SwapOutcome {
-                        profile,
-                        epoch,
-                        anchors: Some(anchors),
-                        resynced: false,
-                    });
+            match self.try_burst(std::slice::from_ref(&req)) {
+                Ok(Some(replies)) => {
+                    // The server answered. Anything but a swap reply is a
+                    // classified rejection (`error` reply) or a mismatched
+                    // response type: the swap did not apply — a terminal
+                    // fault, never retried.
+                    return match replies.into_iter().next() {
+                        Some(Response::Swap {
+                            profile,
+                            epoch,
+                            anchors,
+                        }) => Ok(SwapOutcome {
+                            profile,
+                            epoch,
+                            anchors: Some(anchors),
+                            resynced: false,
+                        }),
+                        _ => Err(ResilientError::Exhausted {
+                            label: "rejected",
+                            attempts: attempt,
+                        }),
+                    };
                 }
-                Ok(Response::Busy) => {
+                Ok(None) => {
                     // Shed at admission: the request was never read, so
                     // retrying is safe.
                     if attempt >= self.policy.max_attempts {
                         return Err(ResilientError::Shed { attempts: attempt });
                     }
-                }
-                Ok(other) => {
-                    // A classified rejection (`error` reply) or a
-                    // mismatched response type: the server answered, the
-                    // swap did not apply. Surface it via epoch logic? No —
-                    // hand the response back as a terminal protocol fault.
-                    let _ = other;
-                    return Err(ResilientError::Exhausted {
-                        label: "rejected",
-                        attempts: attempt,
-                    });
                 }
                 Err(_label) => {
                     // Ambiguous: the swap may or may not have landed.
@@ -424,35 +388,6 @@ impl<C: Connect> ResilientClient<C> {
         }
     }
 
-    /// One attempt: connect if needed, send, classify failures. Any
-    /// failure (and any `busy`) tears the connection down so the next
-    /// attempt starts fresh.
-    fn try_once(&mut self, req: &Request) -> Result<Response, &'static str> {
-        if self.conn.is_none() {
-            match self.connector.connect() {
-                Ok(client) => {
-                    self.reconnects += 1;
-                    self.conn = Some(client);
-                }
-                Err(_) => return Err("connect-failed"),
-            }
-        }
-        let client = self.conn.as_mut().expect("connection just ensured");
-        match client.call(req) {
-            Ok(Response::Busy) => {
-                self.busy += 1;
-                metrics::add("trustd.client.busy", 1);
-                self.conn = None;
-                Ok(Response::Busy)
-            }
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                self.conn = None;
-                Err(classify(&e))
-            }
-        }
-    }
-
     /// Count a retry and sleep the seeded backoff.
     fn note_retry(&mut self, attempt: u32) {
         self.retries += 1;
@@ -465,7 +400,7 @@ impl<C: Connect> ResilientClient<C> {
 }
 
 /// Stable label for a transport-layer client failure.
-fn classify(e: &ClientError) -> &'static str {
+pub(crate) fn classify(e: &ClientError) -> &'static str {
     match e {
         ClientError::Io(_) => "transport",
         ClientError::Protocol(_) => "protocol",

@@ -46,8 +46,9 @@ struct Compactor {
     /// Journal size (bytes) past which a swap triggers compaction.
     threshold: u64,
     /// The base snapshot file's bytes, when the server warm-started from
-    /// one — checkpoints delta over it so unchanged study sections dedup
-    /// away. `None` for a cold start: checkpoints are base-less.
+    /// one cleanly — checkpoints delta over it so unchanged study
+    /// sections dedup away. `None` for a cold or degraded start:
+    /// checkpoints are base-less.
     base: Option<Vec<u8>>,
     /// Every swap the journal has ever recorded, folded to the last
     /// record per profile (seeded from a prior checkpoint at warm start).
@@ -81,9 +82,10 @@ impl TrustService {
         TrustService::with_index(StoreIndex::with_standard_profiles(), cache_capacity)
     }
 
-    /// A service over an already-populated index — the warm-start path:
-    /// the caller builds the index from a snapshot (and replays a journal
-    /// into it) before serving begins.
+    /// A service over an already-populated index — the path
+    /// [`crate::warm::start`] takes: it builds the index from a snapshot
+    /// (or cold) and replays the checkpoint and journal into it before
+    /// serving begins.
     pub fn with_index(index: StoreIndex, cache_capacity: usize) -> TrustService {
         TrustService {
             index,
@@ -105,8 +107,9 @@ impl TrustService {
     /// Enable online journal compaction: once the journal grows past
     /// `threshold` bytes, the accepted swap folds the history into a
     /// checkpoint at `path` (written atomically: tmp + fsync + rename)
-    /// and truncates the journal back to its magic. `base` is the warm
-    /// start's snapshot file bytes (checkpoints delta over it); `state`
+    /// and truncates the journal back to its magic. `base` is the clean
+    /// warm start's snapshot file bytes (checkpoints delta over it;
+    /// `None` writes base-less checkpoints); `state`
     /// seeds the fold — the prior checkpoint's trust-state absorbed with
     /// whatever journal tail start-up replayed.
     pub fn configure_compaction(

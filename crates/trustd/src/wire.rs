@@ -12,6 +12,7 @@
 //! vocabulary extended to the serving path.
 
 use serde_json::{json, Value};
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 use tangled_pki::cacerts::CacertsFile;
@@ -533,6 +534,58 @@ pub enum ChainVerdict {
     },
 }
 
+impl ChainVerdict {
+    /// The verdict's JSON object — `verdict` plus `anchor` and
+    /// `chain_len`, or `error` — merged with the carrying reply's own
+    /// `fields`. Objects keep their keys sorted, so the merge order does
+    /// not reach the wire.
+    fn to_value<const N: usize>(&self, fields: [(&str, Value); N]) -> Value {
+        let mut object: BTreeMap<String, Value> = fields
+            .into_iter()
+            .map(|(key, value)| (key.to_owned(), value))
+            .collect();
+        match self {
+            ChainVerdict::Trusted { anchor, chain_len } => {
+                object.insert("verdict".into(), "trusted".into());
+                object.insert("anchor".into(), anchor.as_str().into());
+                object.insert("chain_len".into(), (*chain_len as u64).into());
+            }
+            ChainVerdict::Untrusted { error } => {
+                object.insert("verdict".into(), "untrusted".into());
+                object.insert("error".into(), error.as_str().into());
+            }
+        }
+        Value::Object(object)
+    }
+
+    /// Read the verdict out of an object [`ChainVerdict::to_value`] wrote.
+    fn from_value(v: &Value) -> Result<ChainVerdict, WireError> {
+        match str_field(v, "verdict")? {
+            "trusted" => Ok(ChainVerdict::Trusted {
+                anchor: str_field(v, "anchor")?.to_owned(),
+                chain_len: usize_field(v, "chain_len")?,
+            }),
+            "untrusted" => Ok(ChainVerdict::Untrusted {
+                error: str_field(v, "error")?.to_owned(),
+            }),
+            _ => Err(WireError::BadRequest("unknown verdict")),
+        }
+    }
+}
+
+/// The canonical text of a verdict: `trusted/<anchor>/<chain_len>` or
+/// `untrusted/<error>` — what [`crate::replay::canonical`] compares.
+impl std::fmt::Display for ChainVerdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ChainVerdict::Trusted { anchor, chain_len } => {
+                write!(f, "trusted/{anchor}/{chain_len}")
+            }
+            ChainVerdict::Untrusted { error } => write!(f, "untrusted/{error}"),
+        }
+    }
+}
+
 /// A reply from the trust service.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -624,21 +677,9 @@ impl Response {
     /// JSON form.
     pub fn to_value(&self) -> Value {
         match self {
-            Response::Validate { verdict, cached } => match verdict {
-                ChainVerdict::Trusted { anchor, chain_len } => json!({
-                    "type": "validate",
-                    "verdict": "trusted",
-                    "anchor": anchor.as_str(),
-                    "chain_len": *chain_len as u64,
-                    "cached": *cached,
-                }),
-                ChainVerdict::Untrusted { error } => json!({
-                    "type": "validate",
-                    "verdict": "untrusted",
-                    "error": error.as_str(),
-                    "cached": *cached,
-                }),
-            },
+            Response::Validate { verdict, cached } => {
+                verdict.to_value([("type", "validate".into()), ("cached", (*cached).into())])
+            }
             Response::Classify { class, profiles } => json!({
                 "type": "classify",
                 "class": class.as_str(),
@@ -681,19 +722,7 @@ impl Response {
                 "chain_key": chain_key.as_str(),
                 "verdicts": verdicts
                     .iter()
-                    .map(|(store, verdict)| match verdict {
-                        ChainVerdict::Trusted { anchor, chain_len } => json!({
-                            "store": store.as_str(),
-                            "verdict": "trusted",
-                            "anchor": anchor.as_str(),
-                            "chain_len": *chain_len as u64,
-                        }),
-                        ChainVerdict::Untrusted { error } => json!({
-                            "store": store.as_str(),
-                            "verdict": "untrusted",
-                            "error": error.as_str(),
-                        }),
-                    })
+                    .map(|(store, verdict)| verdict.to_value([("store", store.as_str().into())]))
                     .collect::<Vec<_>>(),
                 "cached": *cached as u64,
             }),
@@ -706,17 +735,7 @@ impl Response {
                 "profile": profile.as_str(),
                 "verdicts": verdicts
                     .iter()
-                    .map(|verdict| match verdict {
-                        ChainVerdict::Trusted { anchor, chain_len } => json!({
-                            "verdict": "trusted",
-                            "anchor": anchor.as_str(),
-                            "chain_len": *chain_len as u64,
-                        }),
-                        ChainVerdict::Untrusted { error } => json!({
-                            "verdict": "untrusted",
-                            "error": error.as_str(),
-                        }),
-                    })
+                    .map(|verdict| verdict.to_value([]))
                     .collect::<Vec<_>>(),
                 "cached": *cached as u64,
             }),
@@ -751,16 +770,7 @@ impl Response {
                     .get("cached")
                     .and_then(Value::as_bool)
                     .ok_or(WireError::BadRequest("missing cached flag"))?;
-                let verdict = match str_field(v, "verdict")? {
-                    "trusted" => ChainVerdict::Trusted {
-                        anchor: str_field(v, "anchor")?.to_owned(),
-                        chain_len: usize_field(v, "chain_len")?,
-                    },
-                    "untrusted" => ChainVerdict::Untrusted {
-                        error: str_field(v, "error")?.to_owned(),
-                    },
-                    _ => return Err(WireError::BadRequest("unknown verdict")),
-                };
+                let verdict = ChainVerdict::from_value(v)?;
                 Ok(Response::Validate { verdict, cached })
             }
             "classify" => Ok(Response::Classify {
@@ -810,17 +820,7 @@ impl Response {
                     .iter()
                     .map(|entry| {
                         let store = str_field(entry, "store")?.to_owned();
-                        let verdict = match str_field(entry, "verdict")? {
-                            "trusted" => ChainVerdict::Trusted {
-                                anchor: str_field(entry, "anchor")?.to_owned(),
-                                chain_len: usize_field(entry, "chain_len")?,
-                            },
-                            "untrusted" => ChainVerdict::Untrusted {
-                                error: str_field(entry, "error")?.to_owned(),
-                            },
-                            _ => return Err(WireError::BadRequest("unknown verdict")),
-                        };
-                        Ok((store, verdict))
+                        Ok((store, ChainVerdict::from_value(entry)?))
                     })
                     .collect::<Result<Vec<_>, WireError>>()?,
                 cached: usize_field(v, "cached")?,
@@ -832,16 +832,7 @@ impl Response {
                     .and_then(Value::as_array)
                     .ok_or(WireError::BadRequest("missing verdicts"))?
                     .iter()
-                    .map(|entry| match str_field(entry, "verdict")? {
-                        "trusted" => Ok(ChainVerdict::Trusted {
-                            anchor: str_field(entry, "anchor")?.to_owned(),
-                            chain_len: usize_field(entry, "chain_len")?,
-                        }),
-                        "untrusted" => Ok(ChainVerdict::Untrusted {
-                            error: str_field(entry, "error")?.to_owned(),
-                        }),
-                        _ => Err(WireError::BadRequest("unknown verdict")),
-                    })
+                    .map(ChainVerdict::from_value)
                     .collect::<Result<Vec<_>, WireError>>()?,
                 cached: usize_field(v, "cached")?,
             }),

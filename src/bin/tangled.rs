@@ -29,12 +29,11 @@ use tangled_mass::pki::cacerts::{from_cacerts, to_cacerts_pem, CacertsFile};
 use tangled_mass::pki::stores::ReferenceStore;
 use tangled_mass::pki::trust::AnchorSource;
 use tangled_mass::scenario;
-use tangled_mass::snap::{load_study, write_study, Journal, Snapshot, TrustState};
+use tangled_mass::snap::{load_study, write_study, Snapshot};
 use tangled_mass::trustd::{
-    chaos, degraded_index_from_snapshot, drive, index_from_chain, offline_verdicts, queries_for,
-    replay_journal, verdict_fingerprint, ChaosSpec, EventServer, LatencyHistogram, Link,
-    ReplayOp, ReplaySpec, Request, Response, StoreIndex, TrustClient, TrustService, BATCH_DEPTH,
-    DEFAULT_CACHE_CAPACITY,
+    self, chaos, drive, offline_verdicts, queries_for, verdict_fingerprint, ChaosSpec,
+    EventServer, LatencyHistogram, Link, ReplayOp, ReplaySpec, Request, Response, TrustClient,
+    TrustService, BATCH_DEPTH, DEFAULT_CACHE_CAPACITY,
 };
 use tangled_mass::x509::{sig_memo_clear, sig_memo_counters, sig_memo_len};
 
@@ -629,105 +628,17 @@ fn cmd_snap_materialize(args: &Args) -> Result<(), CliError> {
 
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let addr = args.need(0, "a listen address (e.g. 127.0.0.1:7433)")?;
-    let snapshot = args.flags.get("--snapshot");
-    let journal_path = args.flags.get("--journal");
+    let snapshot = args.flags.get("--snapshot").map(String::as_str);
+    let journal = args.flags.get("--journal").map(String::as_str);
     let compact_threshold: Option<u64> = args.opt("--compact-threshold", "bytes > 0", positive)?;
-    if compact_threshold.is_some() && journal_path.is_none() {
+    if compact_threshold.is_some() && journal.is_none() {
         return Err(CliError::Usage(
             "--compact-threshold needs --journal (compaction folds the swap journal)".into(),
         ));
     }
-
-    // A prior compaction leaves a checkpoint beside the journal; when one
-    // exists, warm start from the base+checkpoint chain so the folded
-    // swap history is already applied before the journal tail replays.
-    let ckpt_path = journal_path.map(|p| format!("{p}.ckpt"));
-    let mut chain_state: Option<TrustState> = None;
-    let mut chain_index: Option<StoreIndex> = None;
-    if let Some(ckpt) = ckpt_path.as_ref().filter(|p| std::path::Path::new(p).exists()) {
-        let chain: Vec<String> = snapshot.into_iter().chain([ckpt]).cloned().collect();
-        eprintln!("warm-starting from checkpoint chain {}…", chain.join(" + "));
-        let start = index_from_chain(&chain).map_err(|e| format!("materialising {ckpt}: {e}"))?;
-        if let Some(state) = &start.state {
-            eprintln!(
-                "checkpoint: folded {} profile(s); epoch {}",
-                state.records.len(),
-                state.epoch
-            );
-        }
-        chain_state = start.state;
-        chain_index = Some(start.index);
-    }
-
-    let service = match (chain_index, snapshot) {
-        (Some(index), _) => Arc::new(TrustService::with_index(index, DEFAULT_CACHE_CAPACITY)),
-        (None, Some(path)) => {
-            eprintln!("warm-starting store profiles from {path}…");
-            // Degraded-mode warm start: individually corrupt sections are
-            // quarantined and the server runs without them; only
-            // container-level damage refuses to start.
-            let start = degraded_index_from_snapshot(path)
-                .map_err(|e| format!("loading {path}: {e}"))?;
-            if start.fallback {
-                eprintln!(
-                    "warm start degraded: store section unusable; serving \
-                     cold-generated reference profiles"
-                );
-            }
-            for (unit, label) in &start.quarantined {
-                eprintln!("warm start quarantined '{unit}': {label}");
-            }
-            let service = Arc::new(TrustService::with_index(
-                start.index,
-                DEFAULT_CACHE_CAPACITY,
-            ));
-            for (unit, label) in &start.quarantined {
-                service.stats().record_degraded(unit, label);
-            }
-            service
-        }
-        (None, None) => {
-            eprintln!("loading reference store profiles…");
-            Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY))
-        }
-    };
-    if let Some(path) = journal_path {
-        let (journal, records, recovery) =
-            Journal::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-        if recovery.truncated {
-            eprintln!(
-                "journal: truncated a torn final record ({} bytes dropped)",
-                recovery.dropped_bytes
-            );
-        }
-        let summary = replay_journal(service.index(), &records)
-            .map_err(|e| format!("replaying {path}: {e}"))?;
-        if summary.skipped > 0 {
-            eprintln!(
-                "journal: skipped {} swap(s) the checkpoint already covers",
-                summary.skipped
-            );
-        }
-        eprintln!(
-            "journal: replayed {} swap(s); epoch {}",
-            summary.replayed,
-            service.index().current_epoch()
-        );
-        service.attach_journal(journal);
-        if let Some(threshold) = compact_threshold {
-            // Compaction folds over everything the index already holds:
-            // the checkpoint's state (if any) plus the replayed tail. The
-            // base snapshot rides along so the checkpoint stays a
-            // self-describing delta over it.
-            let base = snapshot
-                .map(|path| std::fs::read(path).map_err(|e| format!("reading {path}: {e}")))
-                .transpose()?;
-            let mut state = chain_state.unwrap_or_default();
-            state.absorb(&records);
-            let ckpt = ckpt_path.expect("journal path implies checkpoint path");
-            eprintln!("compaction: armed at {threshold} journal byte(s); checkpoint {ckpt}");
-            service.configure_compaction(ckpt, threshold, base, state);
-        }
+    let started = trustd::start(snapshot, journal, compact_threshold).map_err(|e| e.to_string())?;
+    for note in &started.notes {
+        eprintln!("{note}");
     }
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -736,7 +647,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     // The flushed "trustd listening on" line is what the loadgen smoke
     // test and perfbench parse. The bound server must stay in scope for
     // the lifetime of the process.
-    let server = EventServer::bind(addr, service, workers)
+    let server = EventServer::bind(addr, started.service, workers)
         .map_err(|e| format!("binding {addr}: {e}"))?;
     println!(
         "trustd listening on {} ({workers} workers, event core)",

@@ -9,9 +9,9 @@ use tangled_mass::faults::chaos::WireFaultKind;
 use tangled_mass::scenario::{self, ScenarioSpec};
 use tangled_mass::snap::{write_study, SectionId, Snapshot};
 use tangled_mass::trustd::{
-    chaos, degraded_index_from_snapshot, drive, offline_verdicts, queries_for, verdict_fingerprint,
-    ChaosSpec, Connect, EventServer, Link, ReplaySpec, Request, ResilientClient, ResilientError,
-    RetryPolicy, ServerConfig, TcpConnector, TrustService, DEFAULT_CACHE_CAPACITY,
+    chaos, drive, offline_verdicts, queries_for, start, verdict_fingerprint, ChaosSpec, Connect,
+    EventServer, Link, ReplaySpec, Request, ResilientClient, ResilientError, RetryPolicy,
+    ServerConfig, TcpConnector, TrustService, DEFAULT_CACHE_CAPACITY,
 };
 use tangled_mass::trustd::wire::{ChainVerdict, Response};
 
@@ -156,8 +156,7 @@ fn zero_backlog_shedding_is_classified() {
     )
     .expect("bind");
 
-    let mut connector = TcpConnector::new(server.local_addr());
-    connector.response_ticks = Some(50);
+    let connector = TcpConnector::new(server.local_addr());
     let mut client = ResilientClient::new(connector, RetryPolicy::immediate(3));
     let err = client.call(&Request::Stats).expect_err("must be shed");
     assert_eq!(err, ResilientError::Shed { attempts: 4 });
@@ -187,17 +186,21 @@ fn degraded_warm_start_serves_and_reports() {
     bytes[offset] ^= 0x40;
     std::fs::write(&path, &bytes).expect("corrupt");
 
-    let start = degraded_index_from_snapshot(&path).expect("degraded start");
-    assert!(!start.fallback, "store section is intact");
-    assert_eq!(
-        start.quarantined,
-        vec![("validation".to_owned(), "checksum-mismatch".to_owned())]
+    let started = start(Some(&path), None, None).expect("degraded start");
+    assert!(
+        !started.notes.iter().any(|n| n.contains("cold-generated")),
+        "store sections are intact: {:?}",
+        started.notes
     );
-
-    let service = TrustService::with_index(start.index, DEFAULT_CACHE_CAPACITY);
-    for (unit, label) in &start.quarantined {
-        service.stats().record_degraded(unit, label);
-    }
+    assert!(
+        started
+            .notes
+            .iter()
+            .any(|n| n == "warm start quarantined 'validation': checksum-mismatch"),
+        "{:?}",
+        started.notes
+    );
+    let service = started.service;
 
     // Every standard profile (reference + ecosystem) answers validate
     // requests.
@@ -267,18 +270,26 @@ fn degraded_warm_start_falls_back_on_store_corruption() {
     bytes[offset] ^= 0x01;
     std::fs::write(&path, &bytes).expect("corrupt");
 
-    let start = degraded_index_from_snapshot(&path).expect("degraded start");
-    assert!(start.fallback, "store damage forces the cold fallback");
+    let started = start(Some(&path), None, None).expect("degraded start");
     assert!(
-        start
-            .quarantined
+        started
+            .notes
             .iter()
-            .any(|(unit, label)| unit == "stores" && label == "checksum-mismatch"),
-        "quarantine must name the stores section: {:?}",
-        start.quarantined
+            .any(|n| n.contains("serving cold-generated reference profiles")),
+        "store damage forces the cold fallback: {:?}",
+        started.notes
+    );
+    let doc = started.service.stats_document();
+    assert!(
+        doc["warm"]["quarantined"]
+            .as_array()
+            .expect("quarantine list")
+            .iter()
+            .any(|q| q["section"] == "stores" && q["error"] == "checksum-mismatch"),
+        "quarantine must name the stores section: {doc:?}"
     );
     assert_eq!(
-        start.index.profile_names().len(),
+        started.service.index().profile_names().len(),
         10,
         "cold fallback still serves every standard profile"
     );
