@@ -22,7 +22,7 @@ use crate::policy::Target;
 use std::sync::Arc;
 use tangled_pki::store::RootStore;
 use tangled_pki::stores::ReferenceStore;
-use tangled_x509::{Certificate, CertIdentity, ChainError, ChainOptions, ChainVerifier};
+use tangled_x509::{Certificate, CertIdentity, ChainOptions, ChainVerifier};
 
 /// A client's validator-defect profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -181,17 +181,6 @@ fn checks_for(defect: DefectClass) -> Option<Checks> {
     }
 }
 
-/// Stable labels for path-building failures (the trustd vocabulary).
-pub fn chain_error_label(err: &ChainError) -> &'static str {
-    match err {
-        ChainError::NoPathToTrustAnchor => "no-path",
-        ChainError::CertCheck(_) => "cert-check",
-        ChainError::BadSignature => "bad-signature",
-        ChainError::PathTooLong => "path-too-long",
-        ChainError::Blacklisted => "blacklisted",
-    }
-}
-
 fn leaf_matches_host(leaf: &Certificate, domain: &str) -> bool {
     let names = leaf.dns_names();
     if names.is_empty() {
@@ -242,7 +231,7 @@ fn validate(s: &SessionInput<'_>, checks: &Checks) -> Result<CertIdentity, Strin
     opts.check_anchor_expiry = checks.anchor_expiry;
     let anchor = match verifier.verify(leaf, opts) {
         Ok(chain) => chain.anchor().identity(),
-        Err(e) => return Err(chain_error_label(&e).to_owned()),
+        Err(e) => return Err(e.label().to_owned()),
     };
     if checks.hostname && !leaf_matches_host(leaf, &s.target.domain) {
         return Err("hostname-mismatch".to_owned());

@@ -5,14 +5,18 @@
 //! run it, read the tables. `trustd` turns the same decision machinery
 //! into a long-lived query service: a TCP server (std only, no async
 //! runtime) whose few readiness-loop threads multiplex every connection
-//! ([`event`]), speaking a length-prefixed JSON protocol with four
-//! request types mirroring the paper's four measurement angles:
+//! ([`event`]), speaking a length-prefixed JSON protocol of eight
+//! request types. Four mirror the paper's four measurement angles:
 //!
 //! * `validate` — chain validation against a named device store profile
 //!   (§4's per-store validation counts, one chain at a time);
 //! * `classify` — extra-root classification per the Figure 2 taxonomy;
 //! * `audit` — cacerts snapshot diff against an AOSP baseline (§5);
 //! * `probe` — interception verdict for a presented chain (§7).
+//!
+//! The other four are `compare` (one chain against every standard
+//! store), `probe_session` (one interception-scenario session), `swap`
+//! and `stats`.
 //!
 //! Three properties carry over from the batch pipeline:
 //!
@@ -45,7 +49,7 @@ pub use event::{serve_stream, EventServer, ServerConfig};
 pub use index::StoreIndex;
 pub use replay::{
     canonical, drive, offline_verdicts, queries_for, scale_for_sessions, verdict_fingerprint, Link,
-    ReplayOp, ReplayOutcome, ReplaySpec, BATCH_DEPTH,
+    ReplayOp, ReplayOutcome, ReplaySpec,
 };
 pub use resilient::{Connect, ResilientClient, ResilientError, RetryPolicy, TcpConnector};
 pub use service::{TrustService, DEFAULT_CACHE_CAPACITY};

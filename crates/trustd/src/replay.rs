@@ -19,9 +19,8 @@
 use crate::client::{dial, TrustClient};
 use crate::resilient::{Connect, ResilientClient, RetryPolicy, TcpConnector};
 use crate::service::{profile_for_version, TrustService, DEFAULT_CACHE_CAPACITY};
-use crate::wire::{ChainVerdict, Request, Response};
+use crate::wire::{Request, Response};
 use serde_json::Value;
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
@@ -45,15 +44,7 @@ pub enum ReplayOp {
     /// One `compare` request per chain of the study's Notary corpus, in
     /// corpus order — the disparity engine's verdict vectors, served.
     Compare,
-    /// The mixed mix's validate stream, grouped into `batch_validate`
-    /// requests of up to [`BATCH_DEPTH`] chains per store profile — the
-    /// amortised form of the same workload.
-    Batch,
 }
-
-/// How many chains a `--op batch` replay packs into one `batch_validate`
-/// request before flushing it.
-pub const BATCH_DEPTH: usize = 16;
 
 /// What to replay.
 #[derive(Debug, Clone, Copy)]
@@ -167,42 +158,11 @@ pub fn compare_queries(spec: &ReplaySpec) -> Vec<Request> {
         .collect()
 }
 
-/// The `batch_validate` request mix: the validate stream of [`queries`],
-/// grouped into per-profile batches of up to [`BATCH_DEPTH`] chains.
-/// Batches flush in arrival order when full; the remainders flush in
-/// sorted profile order — deterministic, so the served replay can be
-/// fingerprinted against [`offline_verdicts`].
-pub fn batch_queries(pop: &Population, spec: &ReplaySpec) -> Vec<Request> {
-    let mut out = Vec::new();
-    let mut pending: BTreeMap<String, Vec<Vec<Vec<u8>>>> = BTreeMap::new();
-    for req in queries(pop, spec) {
-        let Request::Validate { profile, chain } = req else {
-            continue;
-        };
-        let chains = pending.entry(profile.clone()).or_default();
-        chains.push(chain);
-        if chains.len() >= BATCH_DEPTH {
-            out.push(Request::BatchValidate {
-                profile,
-                chains: std::mem::take(chains),
-            });
-        }
-    }
-    out.extend(
-        pending
-            .into_iter()
-            .filter(|(_, chains)| !chains.is_empty())
-            .map(|(profile, chains)| Request::BatchValidate { profile, chains }),
-    );
-    out
-}
-
 /// The request sequence for a spec, honouring its [`ReplayOp`].
 pub fn queries_for(spec: &ReplaySpec) -> Vec<Request> {
     match spec.op {
         ReplayOp::Mixed => queries(&population(spec), spec),
         ReplayOp::Compare => compare_queries(spec),
-        ReplayOp::Batch => batch_queries(&population(spec), spec),
     }
 }
 
@@ -249,12 +209,6 @@ pub fn canonical(resp: &Response) -> String {
                 .map(|(store, verdict)| format!("{store}={verdict}"))
                 .collect();
             format!("compare/{chain_key}/{}", parts.join("|"))
-        }
-        Response::BatchValidate {
-            profile, verdicts, ..
-        } => {
-            let parts: Vec<String> = verdicts.iter().map(ChainVerdict::to_string).collect();
-            format!("batch_validate/{profile}/{}", parts.join("|"))
         }
         Response::Swap {
             profile, anchors, ..
@@ -441,6 +395,7 @@ fn run<C: Connect>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::ChainVerdict;
 
     #[test]
     fn query_mix_is_deterministic_and_covers_kinds() {
@@ -485,50 +440,6 @@ mod tests {
             .all(|v| v.starts_with("compare/") && v.matches('|').count() == 9));
         let fp = verdict_fingerprint(&offline);
         assert_eq!(fp, verdict_fingerprint(&offline_verdicts(&qs)));
-    }
-
-    #[test]
-    fn batch_mix_groups_the_validate_stream_deterministically() {
-        let spec = ReplaySpec::new(2014, 120).with_op(ReplayOp::Batch);
-        let qs = queries_for(&spec);
-        assert!(!qs.is_empty());
-        assert!(qs.iter().all(|q| q.kind() == "batch_validate"));
-        assert_eq!(qs, queries_for(&spec), "same spec, same queries");
-
-        // The batched mix carries exactly the validate stream of the
-        // mixed mix: same chains, same multiplicity, grouped by profile.
-        let mixed_spec = ReplaySpec::new(2014, 120);
-        let mut singles: Vec<(String, Vec<Vec<u8>>)> = queries_for(&mixed_spec)
-            .into_iter()
-            .filter_map(|q| match q {
-                Request::Validate { profile, chain } => Some((profile, chain)),
-                _ => None,
-            })
-            .collect();
-        let mut batched: Vec<(String, Vec<Vec<u8>>)> = qs
-            .iter()
-            .flat_map(|q| match q {
-                Request::BatchValidate { profile, chains } => chains
-                    .iter()
-                    .map(|c| (profile.clone(), c.clone()))
-                    .collect::<Vec<_>>(),
-                _ => unreachable!("batch mix only"),
-            })
-            .collect();
-        singles.sort();
-        batched.sort();
-        assert_eq!(singles, batched);
-
-        // No batch exceeds the depth cap, and offline verdicts line up
-        // one-per-request for fingerprinting.
-        for q in &qs {
-            if let Request::BatchValidate { chains, .. } = q {
-                assert!(!chains.is_empty() && chains.len() <= BATCH_DEPTH);
-            }
-        }
-        let offline = offline_verdicts(&qs);
-        assert_eq!(offline.len(), qs.len());
-        assert!(offline.iter().all(|v| v.starts_with("batch_validate/")));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! stops being reachable and ages out of the LRU.
 
 use crate::cache::LruCache;
-use crate::index::StoreIndex;
+use crate::index::{StoreIndex, StoreProfile};
 use crate::stats::ServiceStats;
 use crate::wire::{ChainVerdict, Request, Response, WireError};
 use std::collections::HashMap;
@@ -29,11 +29,16 @@ use tangled_pki::store::RootStore;
 use tangled_pki::stores::ReferenceStore;
 use tangled_pki::trust::AnchorSource;
 use tangled_pki::vocab::AndroidVersion;
-use tangled_x509::{Certificate, CertIdentity, ChainError, ChainKey, ChainOptions};
+use tangled_x509::{Certificate, CertIdentity, ChainKey, ChainOptions};
 
 /// Memo-cache key: the verdict depends on the store (profile + epoch)
 /// and the presented chain, nothing else.
 type MemoKey = (String, u64, ChainKey);
+
+/// A handler's result: its reply, or the classified `error` reply that
+/// refused the request. Both go on the wire; the split only lets the
+/// intake steps short-circuit with `?`.
+type Reply = Result<Response, Response>;
 
 /// Default memo-cache capacity.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
@@ -172,7 +177,7 @@ impl TrustService {
     }
 
     fn dispatch(&self, req: &Request) -> Response {
-        match req {
+        let reply = match req {
             Request::Validate { profile, chain } => self.validate(profile, chain),
             Request::Classify { cert } => self.classify(cert),
             Request::Audit { baseline, files } => self.audit(baseline, files),
@@ -200,12 +205,10 @@ impl TrustService {
                 *intercepted,
             ),
             Request::Compare { chain } => self.compare(chain),
-            Request::BatchValidate { profile, chains } => {
-                self.batch_validate(profile, chains)
-            }
             Request::Swap { profile, snapshot } => self.swap(profile, snapshot),
-            Request::Stats => Response::Stats(self.stats_document()),
-        }
+            Request::Stats => Ok(Response::Stats(self.stats_document())),
+        };
+        reply.unwrap_or_else(|refused| refused)
     }
 
     /// The full stats document: the counter ledger plus a live view of
@@ -250,37 +253,56 @@ impl TrustService {
         doc
     }
 
-    fn validate(&self, profile: &str, chain: &[Vec<u8>]) -> Response {
-        let Some(profile) = self.index.profile(profile) else {
-            return error("validate", "unknown-profile");
-        };
-        if chain.is_empty() {
-            self.stats.record_quarantined("validate", "empty-chain");
-            return error("validate", "empty-chain");
-        }
-        let Some(certs) = parse_chain(chain) else {
-            self.stats.record_quarantined("validate", "malformed-der");
-            return error("validate", "malformed-der");
-        };
+    /// The named profile, or `unknown-profile` under `stage` — an
+    /// error, not a quarantine: the input itself was never inspected.
+    fn profile(&self, stage: &str, name: &str) -> Result<StoreProfile, Response> {
+        self.index
+            .profile(name)
+            .ok_or_else(|| error(stage, "unknown-profile"))
+    }
 
+    /// Count `label` in the quarantine ledger under `stage` and build the
+    /// error reply for it.
+    fn quarantine(&self, stage: &str, label: &str) -> Response {
+        self.stats.record_quarantined(stage, label);
+        error(stage, label)
+    }
+
+    /// The one chain intake of the chain-carrying ops: parse every
+    /// presented certificate, leaf first, or quarantine the request as
+    /// `malformed-der` under `stage`. An empty chain parses to an empty
+    /// vector; the ops that need a leaf refuse it before calling this.
+    fn intake<D: AsRef<[u8]>>(
+        &self,
+        stage: &str,
+        ders: &[D],
+    ) -> Result<Vec<Arc<Certificate>>, Response> {
+        ders.iter()
+            .map(|der| Certificate::parse(der.as_ref()).ok().map(Arc::new))
+            .collect::<Option<_>>()
+            .ok_or_else(|| self.quarantine(stage, "malformed-der"))
+    }
+
+    fn validate(&self, profile: &str, chain: &[Vec<u8>]) -> Reply {
+        let profile = self.profile("validate", profile)?;
+        if chain.is_empty() {
+            return Err(self.quarantine("validate", "empty-chain"));
+        }
+        let certs = self.intake("validate", chain)?;
         let chain_key = ChainKey::exact(certs.iter().map(Arc::as_ref));
         let (verdict, cached) = self.profile_verdict(&profile, &certs, chain_key);
-        Response::Validate { verdict, cached }
+        Ok(Response::Validate { verdict, cached })
     }
 
     /// Cross-ecosystem comparison: one chain parse, one [`ChainKey`], one
     /// verdict per standard profile — the per-chain verdict vector the
     /// disparity engine is built on, amortising the index lookup that a
     /// `validate` per store would repeat ten times.
-    fn compare(&self, chain: &[Vec<u8>]) -> Response {
+    fn compare(&self, chain: &[Vec<u8>]) -> Reply {
         if chain.is_empty() {
-            self.stats.record_quarantined("compare", "empty-chain");
-            return error("compare", "empty-chain");
+            return Err(self.quarantine("compare", "empty-chain"));
         }
-        let Some(certs) = parse_chain(chain) else {
-            self.stats.record_quarantined("compare", "malformed-der");
-            return error("compare", "malformed-der");
-        };
+        let certs = self.intake("compare", chain)?;
         let chain_key = ChainKey::exact(certs.iter().map(Arc::as_ref));
         let mut verdicts = Vec::new();
         let mut cached = 0usize;
@@ -294,59 +316,18 @@ impl TrustService {
             cached += usize::from(hit);
             verdicts.push((profile.name, verdict));
         }
-        Response::Compare {
+        Ok(Response::Compare {
             chain_key: chain_key.to_hex(),
             verdicts,
             cached,
-        }
-    }
-
-    /// Batched validation: one profile lookup, one memo pass per chain.
-    /// A bad chain (empty, malformed DER) does not fail the batch — it
-    /// yields a per-chain `untrusted` verdict in its slot (recorded in the
-    /// quarantine ledger like the single-chain path), so the reply vector
-    /// always aligns with the request and the whole batch stays
-    /// idempotent.
-    fn batch_validate(&self, profile: &str, chains: &[Vec<Vec<u8>>]) -> Response {
-        let Some(profile) = self.index.profile(profile) else {
-            return error("batch_validate", "unknown-profile");
-        };
-        let mut verdicts = Vec::with_capacity(chains.len());
-        let mut cached = 0usize;
-        for chain in chains {
-            if chain.is_empty() {
-                self.stats
-                    .record_quarantined("batch_validate", "empty-chain");
-                verdicts.push(ChainVerdict::Untrusted {
-                    error: "empty-chain".to_owned(),
-                });
-                continue;
-            }
-            let Some(certs) = parse_chain(chain) else {
-                self.stats
-                    .record_quarantined("batch_validate", "malformed-der");
-                verdicts.push(ChainVerdict::Untrusted {
-                    error: "malformed-der".to_owned(),
-                });
-                continue;
-            };
-            let chain_key = ChainKey::exact(certs.iter().map(Arc::as_ref));
-            let (verdict, hit) = self.profile_verdict(&profile, &certs, chain_key);
-            cached += usize::from(hit);
-            verdicts.push(verdict);
-        }
-        Response::BatchValidate {
-            profile: profile.name,
-            verdicts,
-            cached,
-        }
+        })
     }
 
     /// Memoised single-profile verdict for an already-parsed chain.
     /// Returns the verdict and whether it came from the memo cache.
     fn profile_verdict(
         &self,
-        profile: &crate::index::StoreProfile,
+        profile: &StoreProfile,
         certs: &[Arc<Certificate>],
         chain_key: ChainKey,
     ) -> (ChainVerdict, bool) {
@@ -369,7 +350,7 @@ impl TrustService {
                 chain_len: path.len(),
             },
             Err(e) => ChainVerdict::Untrusted {
-                error: chain_error_label(&e).to_owned(),
+                error: e.label().to_owned(),
             },
         };
         self.cache
@@ -379,10 +360,9 @@ impl TrustService {
         (verdict, false)
     }
 
-    fn classify(&self, cert: &[u8]) -> Response {
+    fn classify(&self, cert: &[u8]) -> Reply {
         let Ok(cert) = Certificate::parse(cert) else {
-            self.stats.record_quarantined("classify", "malformed-der");
-            return error("classify", "malformed-der");
+            return Err(self.quarantine("classify", "malformed-der"));
         };
         let id = cert.identity();
         let profiles = self.index.member_of(&id);
@@ -396,19 +376,19 @@ impl TrustService {
                 Some(Figure2Class::NotRecorded) | None => "not-recorded",
             }
         };
-        Response::Classify {
+        Ok(Response::Classify {
             class: class.to_owned(),
             profiles,
-        }
+        })
     }
 
     fn audit(
         &self,
         baseline: &str,
         files: &[tangled_pki::cacerts::CacertsFile],
-    ) -> Response {
+    ) -> Reply {
         let Some(reference) = reference_store(baseline) else {
-            return error("audit", "unknown-baseline");
+            return Err(error("audit", "unknown-baseline"));
         };
         let (observed, quarantined) =
             from_cacerts_lenient("observed", files, AnchorSource::Unknown);
@@ -420,7 +400,7 @@ impl TrustService {
             &observed,
             tangled_intercept::study_time(),
         );
-        Response::Audit {
+        Ok(Response::Audit {
             risk: report.risk.label().to_owned(),
             added: report.diff.added_count(),
             removed: report.diff.removed_count(),
@@ -429,7 +409,7 @@ impl TrustService {
                 .into_iter()
                 .map(|q| (q.file, q.error.label().to_owned()))
                 .collect(),
-        }
+        })
     }
 
     fn probe(
@@ -438,17 +418,12 @@ impl TrustService {
         target: &str,
         chain: &[Vec<u8>],
         pinned: bool,
-    ) -> Response {
-        let Some(profile) = self.index.profile(profile) else {
-            return error("probe", "unknown-profile");
-        };
+    ) -> Reply {
+        let profile = self.profile("probe", profile)?;
         let Some(target) = Target::parse(target) else {
-            return error("probe", "bad-target");
+            return Err(error("probe", "bad-target"));
         };
-        let Some(certs) = parse_chain(chain) else {
-            self.stats.record_quarantined("probe", "malformed-der");
-            return error("probe", "malformed-der");
-        };
+        let certs = self.intake("probe", chain)?;
         let report = probe(
             &target,
             &certs,
@@ -456,9 +431,9 @@ impl TrustService {
             &self.expected_issuer,
             pinned,
         );
-        Response::Probe {
+        Ok(Response::Probe {
             verdict: verdict_label(&report.verdict),
-        }
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -471,30 +446,17 @@ impl TrustService {
         pinned: bool,
         extra_anchor: Option<&[u8]>,
         intercepted: bool,
-    ) -> Response {
-        let Some(profile) = self.index.profile(profile) else {
-            return error("probe_session", "unknown-profile");
-        };
+    ) -> Reply {
+        let profile = self.profile("probe_session", profile)?;
         let Some(defect) = DefectClass::parse(defect) else {
-            return error("probe_session", "unknown-defect");
+            return Err(error("probe_session", "unknown-defect"));
         };
         let Some(target) = Target::parse(target) else {
-            return error("probe_session", "bad-target");
+            return Err(error("probe_session", "bad-target"));
         };
-        let Some(certs) = parse_chain(chain) else {
-            self.stats
-                .record_quarantined("probe_session", "malformed-der");
-            return error("probe_session", "malformed-der");
-        };
+        let certs = self.intake("probe_session", chain)?;
         let extra = match extra_anchor {
-            Some(der) => match Certificate::parse(der) {
-                Ok(cert) => Some(Arc::new(cert)),
-                Err(_) => {
-                    self.stats
-                        .record_quarantined("probe_session", "malformed-der");
-                    return error("probe_session", "malformed-der");
-                }
-            },
+            Some(der) => self.intake("probe_session", &[der])?.pop(),
             None => None,
         };
         let outcome = evaluate_session(&SessionInput {
@@ -507,22 +469,18 @@ impl TrustService {
             expected_issuer: &self.expected_issuer,
             intercepted,
         });
-        Response::ProbeSession {
+        Ok(Response::ProbeSession {
             outcome: outcome.label(),
-        }
+        })
     }
 
     fn swap(
         &self,
         profile: &str,
         snapshot: &tangled_pki::store::StoreSnapshot,
-    ) -> Response {
-        let store = match RootStore::from_snapshot(snapshot) {
-            Ok(store) => store,
-            Err(_) => {
-                self.stats.record_quarantined("swap", "bad-snapshot");
-                return error("swap", "bad-snapshot");
-            }
+    ) -> Reply {
+        let Ok(store) = RootStore::from_snapshot(snapshot) else {
+            return Err(self.quarantine("swap", "bad-snapshot"));
         };
         let anchors = store.len();
 
@@ -540,17 +498,17 @@ impl TrustService {
             };
             if let Err(e) = j.append(&record) {
                 self.stats.record_quarantined("swap", e.label());
-                return error("swap", "journal-io");
+                return Err(error("swap", "journal-io"));
             }
             self.maybe_compact(j, &record);
         }
         let installed = self.index.install(profile, Arc::new(store));
         drop(journal);
-        Response::Swap {
+        Ok(Response::Swap {
             profile: installed.name,
             epoch: installed.epoch,
             anchors,
-        }
+        })
     }
 
     /// Fold the just-journalled swap into the compaction state and, if
@@ -607,24 +565,6 @@ fn error(stage: &str, label: &str) -> Response {
     Response::Error {
         stage: stage.to_owned(),
         error: label.to_owned(),
-    }
-}
-
-fn parse_chain(chain: &[Vec<u8>]) -> Option<Vec<Arc<Certificate>>> {
-    chain
-        .iter()
-        .map(|der| Certificate::parse(der).ok().map(Arc::new))
-        .collect()
-}
-
-/// Stable label for a chain-verification failure.
-pub fn chain_error_label(e: &ChainError) -> &'static str {
-    match e {
-        ChainError::NoPathToTrustAnchor => "no-path",
-        ChainError::CertCheck(_) => "cert-check",
-        ChainError::BadSignature => "bad-signature",
-        ChainError::PathTooLong => "path-too-long",
-        ChainError::Blacklisted => "blacklisted",
     }
 }
 
@@ -955,82 +895,6 @@ mod tests {
             }
         );
         assert_eq!(svc.stats().quarantined_total(), 2);
-    }
-
-    #[test]
-    fn batch_validate_agrees_with_single_validate() {
-        let svc = TrustService::new(256);
-        let chains = vec![
-            origin_chain("gmail.com:443"),
-            origin_chain("www.chase.com:443"),
-            origin_chain("gmail.com:443"), // duplicate: memo hit in-batch
-        ];
-        let Response::BatchValidate {
-            profile,
-            verdicts,
-            cached,
-        } = svc.handle(&Request::BatchValidate {
-            profile: "AOSP 4.4".into(),
-            chains: chains.clone(),
-        })
-        else {
-            panic!("expected batch reply");
-        };
-        assert_eq!(profile, "AOSP 4.4");
-        assert_eq!(verdicts.len(), 3);
-        assert_eq!(cached, 1, "duplicate chain hits the memo within a batch");
-        for (chain, expected) in chains.iter().zip(&verdicts) {
-            match svc.handle(&Request::Validate {
-                profile: "AOSP 4.4".into(),
-                chain: chain.clone(),
-            }) {
-                Response::Validate { verdict, .. } => assert_eq!(&verdict, expected),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn batch_validate_isolates_bad_chains_per_slot() {
-        let svc = TrustService::new(64);
-        let Response::BatchValidate { verdicts, .. } =
-            svc.handle(&Request::BatchValidate {
-                profile: "AOSP 4.4".into(),
-                chains: vec![
-                    vec![],                  // empty
-                    vec![vec![0xde, 0xad]],  // garbage DER
-                    origin_chain("gmail.com:443"),
-                ],
-            })
-        else {
-            panic!("expected batch reply");
-        };
-        assert_eq!(
-            verdicts[0],
-            ChainVerdict::Untrusted {
-                error: "empty-chain".into()
-            }
-        );
-        assert_eq!(
-            verdicts[1],
-            ChainVerdict::Untrusted {
-                error: "malformed-der".into()
-            }
-        );
-        assert!(matches!(verdicts[2], ChainVerdict::Trusted { .. }));
-        assert_eq!(svc.stats().quarantined_total(), 2);
-
-        // Only an unknown profile fails the whole batch.
-        assert_eq!(
-            svc.handle(&Request::BatchValidate {
-                profile: "CyanogenMod".into(),
-                chains: vec![origin_chain("gmail.com:443")],
-            }),
-            Response::Error {
-                stage: "batch_validate".into(),
-                error: "unknown-profile".into()
-            }
-        );
     }
 
     #[test]

@@ -283,17 +283,6 @@ pub enum Request {
         /// DER certificates, leaf first, intermediates after.
         chain: Vec<Vec<u8>>,
     },
-    /// Batched validation: many chains against one named store profile
-    /// in a single round trip, amortising one index/profile lookup and
-    /// one verdict-memo pass across the whole batch. Per-chain failures
-    /// (empty chain, malformed DER) become per-chain `untrusted`
-    /// verdicts so the reply vector always lines up with the request.
-    BatchValidate {
-        /// Store profile name (e.g. `"AOSP 4.4"`).
-        profile: String,
-        /// One DER chain per slot, each leaf first.
-        chains: Vec<Vec<Vec<u8>>>,
-    },
     /// Install or replace a store profile (bumps its epoch).
     Swap {
         /// Profile name to (re)install.
@@ -315,7 +304,6 @@ impl Request {
             Request::Probe { .. } => "probe",
             Request::ProbeSession { .. } => "probe_session",
             Request::Compare { .. } => "compare",
-            Request::BatchValidate { .. } => "batch_validate",
             Request::Swap { .. } => "swap",
             Request::Stats => "stats",
         }
@@ -397,14 +385,6 @@ impl Request {
                 "type": "compare",
                 "chain": encode_chain(chain),
             }),
-            Request::BatchValidate { profile, chains } => json!({
-                "type": "batch_validate",
-                "profile": profile.as_str(),
-                "chains": chains
-                    .iter()
-                    .map(|chain| Value::from(encode_chain(chain)))
-                    .collect::<Vec<_>>(),
-            }),
             Request::Swap { profile, snapshot } => json!({
                 "type": "swap",
                 "profile": profile.as_str(),
@@ -474,16 +454,6 @@ impl Request {
             }
             "compare" => Ok(Request::Compare {
                 chain: decode_chain(v.get("chain"))?,
-            }),
-            "batch_validate" => Ok(Request::BatchValidate {
-                profile: str_field(v, "profile")?.to_owned(),
-                chains: v
-                    .get("chains")
-                    .and_then(Value::as_array)
-                    .ok_or(WireError::BadRequest("missing chains array"))?
-                    .iter()
-                    .map(|chain| decode_chain(Some(chain)))
-                    .collect::<Result<Vec<_>, _>>()?,
             }),
             "swap" => {
                 let snap = v
@@ -639,16 +609,6 @@ pub enum Response {
         /// How many of the per-profile verdicts came from the memo cache.
         cached: usize,
     },
-    /// Batched validate result: one verdict per requested chain, in
-    /// request order.
-    BatchValidate {
-        /// The profile the batch was validated against.
-        profile: String,
-        /// One verdict per chain slot, aligned with the request.
-        verdicts: Vec<ChainVerdict>,
-        /// How many of the verdicts came from the memo cache.
-        cached: usize,
-    },
     /// Swap result.
     Swap {
         /// The profile installed.
@@ -723,19 +683,6 @@ impl Response {
                 "verdicts": verdicts
                     .iter()
                     .map(|(store, verdict)| verdict.to_value([("store", store.as_str().into())]))
-                    .collect::<Vec<_>>(),
-                "cached": *cached as u64,
-            }),
-            Response::BatchValidate {
-                profile,
-                verdicts,
-                cached,
-            } => json!({
-                "type": "batch_validate",
-                "profile": profile.as_str(),
-                "verdicts": verdicts
-                    .iter()
-                    .map(|verdict| verdict.to_value([]))
                     .collect::<Vec<_>>(),
                 "cached": *cached as u64,
             }),
@@ -822,17 +769,6 @@ impl Response {
                         let store = str_field(entry, "store")?.to_owned();
                         Ok((store, ChainVerdict::from_value(entry)?))
                     })
-                    .collect::<Result<Vec<_>, WireError>>()?,
-                cached: usize_field(v, "cached")?,
-            }),
-            "batch_validate" => Ok(Response::BatchValidate {
-                profile: str_field(v, "profile")?.to_owned(),
-                verdicts: v
-                    .get("verdicts")
-                    .and_then(Value::as_array)
-                    .ok_or(WireError::BadRequest("missing verdicts"))?
-                    .iter()
-                    .map(ChainVerdict::from_value)
                     .collect::<Result<Vec<_>, WireError>>()?,
                 cached: usize_field(v, "cached")?,
             }),
@@ -1151,14 +1087,6 @@ mod tests {
             Request::Compare {
                 chain: vec![vec![0x30, 0x03, 1, 2, 3], vec![0xab]],
             },
-            Request::BatchValidate {
-                profile: "AOSP 4.4".into(),
-                chains: vec![
-                    vec![vec![0x30, 0x03, 1, 2, 3], vec![0xff]],
-                    vec![],
-                    vec![vec![0xab]],
-                ],
-            },
             Request::Stats,
         ];
         for req in reqs {
@@ -1219,19 +1147,6 @@ mod tests {
                 ],
                 cached: 1,
             },
-            Response::BatchValidate {
-                profile: "AOSP 4.4".into(),
-                verdicts: vec![
-                    ChainVerdict::Trusted {
-                        anchor: "CN=Root".into(),
-                        chain_len: 2,
-                    },
-                    ChainVerdict::Untrusted {
-                        error: "empty-chain".into(),
-                    },
-                ],
-                cached: 1,
-            },
             Response::Swap {
                 profile: "device".into(),
                 epoch: 7,
@@ -1263,6 +1178,13 @@ mod tests {
         );
         assert_eq!(
             Request::decode(br#"{"type":"validate","profile":"x","chain":["!!"]}"#)
+                .unwrap_err()
+                .label(),
+            "bad-request"
+        );
+        // A retired op is an unknown request type, not a panic.
+        assert_eq!(
+            Request::decode(br#"{"type":"batch_validate","profile":"AOSP 4.4","chains":[[]]}"#)
                 .unwrap_err()
                 .label(),
             "bad-request"

@@ -71,16 +71,44 @@ enum Item {
     Oversized(usize),
 }
 
+/// Chains a generated request presents: every Table 6 origin chain, an
+/// empty chain and garbage DER — so bad chains sit among good ones in one
+/// pipelined burst.
+fn chains() -> &'static [Vec<Vec<u8>>] {
+    static CHAINS: OnceLock<Vec<Vec<Vec<u8>>>> = OnceLock::new();
+    CHAINS.get_or_init(|| {
+        let origin = tangled_intercept::origin::OriginServers::for_table6();
+        let mut targets: Vec<_> = origin.targets().collect();
+        targets.sort_by_key(|t| t.to_string());
+        let mut chains: Vec<Vec<Vec<u8>>> = targets
+            .into_iter()
+            .map(|t| {
+                let chain = origin.chain(t).expect("table 6 target has a chain");
+                chain.iter().map(|c| c.to_der().to_vec()).collect()
+            })
+            .collect();
+        chains.push(Vec::new());
+        chains.push(vec![vec![0xde, 0xad]]);
+        chains
+    })
+}
+
 fn arb_request() -> impl Strategy<Value = Request> {
     let blob = proptest::collection::vec(any::<u8>(), 0..48);
-    let chain = proptest::collection::vec(
-        proptest::collection::vec(any::<u8>(), 0..48),
-        0..3,
-    );
+    let chain = || (0..chains().len()).prop_map(|i| chains()[i].clone());
+    // The ten standard stores plus one the index does not hold.
+    let mut profiles: Vec<String> = tangled_pki::stores::standard_store_names()
+        .into_iter()
+        .map(str::to_owned)
+        .collect();
+    profiles.push("CyanogenMod".to_owned());
     prop_oneof![
         Just(Request::Stats),
-        ("[A-Za-z0-9 .]{0,16}", chain)
-            .prop_map(|(profile, chain)| Request::Validate { profile, chain }),
+        (0..profiles.len(), chain()).prop_map(move |(p, chain)| Request::Validate {
+            profile: profiles[p].clone(),
+            chain,
+        }),
+        chain().prop_map(|chain| Request::Compare { chain }),
         blob.prop_map(|cert| Request::Classify { cert }),
     ]
 }

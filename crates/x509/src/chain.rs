@@ -97,6 +97,21 @@ pub enum ChainError {
     Blacklisted,
 }
 
+impl ChainError {
+    /// Stable short label for the failure — the rejection vocabulary of
+    /// the trustd verdicts and the interception attribution ledger, so it
+    /// feeds every verdict fingerprint and must not change.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ChainError::NoPathToTrustAnchor => "no-path",
+            ChainError::CertCheck(_) => "cert-check",
+            ChainError::BadSignature => "bad-signature",
+            ChainError::PathTooLong => "path-too-long",
+            ChainError::Blacklisted => "blacklisted",
+        }
+    }
+}
+
 impl std::fmt::Display for ChainError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

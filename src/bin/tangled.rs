@@ -33,7 +33,7 @@ use tangled_mass::snap::{load_study, write_study, Snapshot};
 use tangled_mass::trustd::{
     self, chaos, drive, offline_verdicts, queries_for, verdict_fingerprint, ChaosSpec,
     EventServer, LatencyHistogram, Link, ReplayOp, ReplaySpec, Request, Response, TrustClient,
-    TrustService, BATCH_DEPTH, DEFAULT_CACHE_CAPACITY,
+    TrustService, DEFAULT_CACHE_CAPACITY,
 };
 use tangled_mass::x509::{sig_memo_clear, sig_memo_counters, sig_memo_len};
 
@@ -87,11 +87,11 @@ const COMMANDS: &[(&str, &str)] = &[
          the checkpoint once it crosses BYTES)",
     ),
     (
-        "loadgen <addr> [--sessions N] [--seed S] [--op mixed|compare|batch|mitm] \
+        "loadgen <addr> [--sessions N] [--seed S] [--op mixed|compare|mitm] \
          [--pipeline N] [--chaos-rate R] [--chaos-seed S] [--swaps N]",
-        "plan a seeded workload (--op: mixed mix,\ncompare vectors, batch_validate frames or\n\
-         the mitm scenario plan; last --op wins),\nreplay it against a server and check it\n\
-         against the offline verdicts; one report\nending in the verdict-vector fingerprint;\n\
+        "plan a seeded workload (--op: mixed mix,\ncompare vectors or the mitm scenario\n\
+         plan; last --op wins), replay it against\na server and check it against the\n\
+         offline verdicts; one report ending in\nthe verdict-vector fingerprint;\n\
          --pipeline bursts N requests per write\nwindow; --chaos-rate injects lossy wire\n\
          faults recovered through the resilient\nclient; --swaps drives N store swaps on\n\
          the 'canary' profile instead of a replay",
@@ -674,7 +674,6 @@ impl FromStr for LoadOp {
         Ok(match op {
             "mixed" => LoadOp::Replay(ReplayOp::Mixed),
             "compare" => LoadOp::Replay(ReplayOp::Compare),
-            "batch" => LoadOp::Replay(ReplayOp::Batch),
             "mitm" => LoadOp::Mitm,
             _ => return Err(()),
         })
@@ -683,7 +682,7 @@ impl FromStr for LoadOp {
 
 /// `loadgen --op`, defaulting to the mixed replay; the last `--op` wins.
 fn load_op(args: &Args) -> Result<LoadOp, CliError> {
-    args.get("--op", LoadOp::Replay(ReplayOp::Mixed), "mixed|compare|batch|mitm", any)
+    args.get("--op", LoadOp::Replay(ReplayOp::Mixed), "mixed|compare|mitm", any)
 }
 
 fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
@@ -798,14 +797,8 @@ fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
         }
         LoadOp::Replay(op) => {
             println!("loadgen: verdicts match the offline study exactly");
-            match op {
-                ReplayOp::Mixed => {}
-                ReplayOp::Compare => {
-                    println!("loadgen: compare replies match the offline verdict vectors exactly")
-                }
-                ReplayOp::Batch => println!(
-                    "loadgen: batch replies match the offline study exactly (depth {BATCH_DEPTH})"
-                ),
+            if op == ReplayOp::Compare {
+                println!("loadgen: compare replies match the offline verdict vectors exactly")
             }
         }
     }
@@ -976,7 +969,7 @@ fn cmd_stats(scale: f64) -> Result<(), CliError> {
     let _ = service.handle(&Request::Stats);
 
     // Exercise the event core end-to-end over a real socket: a pipelined
-    // burst plus one batched validate populates the trustd.event.* gauges
+    // burst of stats and validates populates the trustd.event.* gauges
     // (registered connections, wakeups, pipeline-depth observations,
     // partial-write continuations) that the metrics dump below prints.
     let event_service = Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
@@ -989,10 +982,10 @@ fn cmd_stats(scale: f64) -> Result<(), CliError> {
     let server = EventServer::bind("127.0.0.1:0", Arc::clone(&event_service), 1)
         .map_err(|e| format!("binding event core: {e}"))?;
     let mut burst: Vec<Request> = (0..4).map(|_| Request::Stats).collect();
-    burst.push(Request::BatchValidate {
-        profile,
-        chains: vec![vec![anchor_der.clone()], vec![anchor_der]],
-    });
+    burst.extend((0..2).map(|_| Request::Validate {
+        profile: profile.clone(),
+        chain: vec![anchor_der.clone()],
+    }));
     let replies = {
         let mut client = TrustClient::connect(server.local_addr())
             .map_err(|e| format!("connecting event core: {e}"))?;
@@ -1111,7 +1104,7 @@ mod tests {
             Ok(LoadOp::Replay(ReplayOp::Compare))
         ));
         assert!(matches!(
-            loadgen_op(&["--op", "batch", "--op", "mitm"]),
+            loadgen_op(&["--op", "compare", "--op", "mitm"]),
             Ok(LoadOp::Mitm)
         ));
         assert!(matches!(loadgen_op(&[]), Ok(LoadOp::Replay(ReplayOp::Mixed))));

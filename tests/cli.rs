@@ -106,6 +106,7 @@ fn bad_values_are_usage_errors() {
         &["loadgen", "127.0.0.1:1", "--sessions", "0"],
         &["loadgen", "127.0.0.1:1", "--seed", "x"],
         &["loadgen", "127.0.0.1:1", "--op", "nope"],
+        &["loadgen", "127.0.0.1:1", "--op", "batch"],
         &["loadgen", "127.0.0.1:1", "--chaos-rate", "1.5"],
         &["loadgen", "127.0.0.1:1", "--chaos-seed", "x"],
         &["loadgen", "127.0.0.1:1", "--swaps", "0"],
