@@ -2,7 +2,8 @@
 //!
 //! Measures the four hot paths wired through [`tangled_exec::ExecPool`]
 //! at pool width 1 (the sequential baseline) versus wider pools, the
-//! trustd preload of the reference-store profiles at widths 1 and 4, and
+//! trustd preload of the reference-store profiles at widths 1 and 4 (only
+//! its key prefetch is parallel; the installs are serial), and
 //! the effect of the process-wide signature-verification memo on a
 //! repeated validation-index build. Determinism is asserted elsewhere
 //! (`tests/determinism.rs`); this harness only times the same work.
@@ -74,8 +75,9 @@ fn main() {
         set_thread_override(None);
     }
 
-    // trustd preload: the reference-store profiles install through the
-    // ambient pool, so drive it via the thread override as well.
+    // trustd preload: its key prefetch runs on the ambient pool (the
+    // installs that follow are serial), so drive it via the thread
+    // override as well.
     for width in [1usize, 4] {
         set_thread_override(Some(width));
         c.bench_function(&format!("parallel/trustd_preload_{width}t"), |b| {

@@ -22,7 +22,7 @@ use crate::policy::Target;
 use std::sync::Arc;
 use tangled_pki::store::RootStore;
 use tangled_pki::stores::ReferenceStore;
-use tangled_x509::{Certificate, CertIdentity, ChainOptions, ChainVerifier};
+use tangled_x509::{CertIdentity, Certificate, ChainOptions};
 
 /// A client's validator-defect profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -194,25 +194,18 @@ fn leaf_matches_host(leaf: &Certificate, domain: &str) -> bool {
 /// anchor identity the path landed on; `Err` carries a stable rejection
 /// label.
 fn validate(s: &SessionInput<'_>, checks: &Checks) -> Result<CertIdentity, String> {
-    let Some(leaf) = s.chain.first() else {
+    let Some((leaf, links)) = s.chain.split_first() else {
         return Err("no-chain".to_owned());
     };
-    let mut verifier = ChainVerifier::new();
-    if checks.stale_store {
-        for cert in ReferenceStore::Aosp41.cached().enabled_certificates() {
-            verifier.add_anchor(cert);
-        }
+    let verifier = if checks.stale_store {
+        ReferenceStore::Aosp41.cached().verifier()
     } else {
-        for cert in s.device_store.enabled_certificates() {
-            verifier.add_anchor(cert);
-        }
+        let mut verifier = s.device_store.verifier();
         if let Some(extra) = s.extra_anchor {
             verifier.add_anchor(Arc::clone(extra));
         }
-    }
-    for link in &s.chain[1..] {
-        verifier.add_intermediate(Arc::clone(link));
-    }
+        verifier
+    };
     // A validator that skips expiry checks is modelled by verifying at a
     // time inside the leaf's window (with anchor expiry off): the path
     // logic still runs, only validity stops mattering.
@@ -229,7 +222,7 @@ fn validate(s: &SessionInput<'_>, checks: &Checks) -> Result<CertIdentity, Strin
     };
     let mut opts = ChainOptions::at(at);
     opts.check_anchor_expiry = checks.anchor_expiry;
-    let anchor = match verifier.verify(leaf, opts) {
+    let anchor = match verifier.verify_chain(leaf, links, opts) {
         Ok(chain) => chain.anchor().identity(),
         Err(e) => return Err(e.label().to_owned()),
     };

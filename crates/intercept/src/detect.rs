@@ -10,7 +10,7 @@ use crate::origin::OriginServers;
 use crate::policy::Target;
 use std::sync::Arc;
 use tangled_pki::store::RootStore;
-use tangled_x509::{Certificate, CertIdentity, ChainOptions, ChainVerifier};
+use tangled_x509::{CertIdentity, Certificate, ChainOptions};
 
 /// Outcome of probing one target through one network path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,18 +76,11 @@ fn classify(
     expected_issuer: &CertIdentity,
     pinned: bool,
 ) -> Verdict {
-    let Some(leaf) = presented.first() else {
+    let Some((leaf, links)) = presented.split_first() else {
         return Verdict::NoChain;
     };
-    let mut verifier = ChainVerifier::new();
-    for cert in device_store.enabled_certificates() {
-        verifier.add_anchor(cert);
-    }
-    for link in &presented[1..] {
-        verifier.add_intermediate(Arc::clone(link));
-    }
     let opts = ChainOptions::at(crate::study_time());
-    match verifier.verify(leaf, opts) {
+    match device_store.verifier().verify_chain(leaf, links, opts) {
         Ok(chain) => {
             let anchor = chain.anchor().identity();
             if &anchor == expected_issuer {
@@ -99,11 +92,7 @@ fn classify(
             }
         }
         Err(_) => Verdict::UntrustedChain {
-            presented_issuer: presented
-                .last()
-                .expect("non-empty")
-                .issuer
-                .to_string(),
+            presented_issuer: links.last().unwrap_or(leaf).issuer.to_string(),
         },
     }
 }

@@ -7,7 +7,7 @@
 use crate::trust::{AnchorSource, TrustAnchor, TrustBits};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tangled_x509::{CertIdentity, Certificate};
+use tangled_x509::{CertIdentity, Certificate, ChainVerifier};
 
 /// A named collection of trust anchors keyed by certificate identity.
 ///
@@ -152,9 +152,21 @@ impl RootStore {
         out
     }
 
-    /// Certificates of all enabled anchors, for feeding a chain verifier.
+    /// Certificates of all enabled anchors, in insertion order.
     pub fn enabled_certificates(&self) -> Vec<Arc<Certificate>> {
         self.iter_enabled().map(|a| Arc::clone(&a.cert)).collect()
+    }
+
+    /// A chain verifier whose trust anchors are exactly this store's
+    /// enabled anchors, in insertion order — the one place that decides
+    /// which of a store's anchors a validator trusts. Disabled anchors
+    /// are kept in the store but anchor nothing.
+    pub fn verifier(&self) -> ChainVerifier {
+        let mut verifier = ChainVerifier::new();
+        for anchor in self.iter_enabled() {
+            verifier.add_anchor(Arc::clone(&anchor.cert));
+        }
+        verifier
     }
 }
 
@@ -384,6 +396,25 @@ mod tests {
         assert_eq!(s.len(), 1);
         // Original provenance is kept.
         assert_eq!(s.iter().next().unwrap().source, AnchorSource::Aosp);
+    }
+
+    #[test]
+    fn verifier_trusts_exactly_the_enabled_anchors() {
+        let mut f = CaFactory::new();
+        let mut s = RootStore::new("verifier");
+        let root = f.root("Verifier Test CA");
+        s.add_cert(Arc::clone(&root), AnchorSource::Aosp);
+        let leaf = f
+            .leaf("Verifier Test CA", &root, "verifier.example", 7)
+            .unwrap();
+        let opts = tangled_x509::ChainOptions::at(tangled_asn1::Time::date(2014, 2, 1).unwrap());
+        let chain = s.verifier().verify(&leaf, opts).unwrap();
+        assert_eq!(chain.anchor().identity(), root.identity());
+        assert_eq!(s.verifier().anchor_count(), 1);
+
+        s.disable(&root.identity());
+        assert_eq!(s.verifier().anchor_count(), 0);
+        assert!(s.verifier().verify(&leaf, opts).is_err());
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! Two structures share one epoch counter:
 //!
 //! * **Profiles** — named, immutable [`RootStore`] snapshots, each paired
-//!   with a preloaded [`ChainVerifier`] so validation never rebuilds the
-//!   anchor index per request. A profile swap replaces the whole
-//!   [`StoreProfile`] atomically and bumps the global epoch; in-flight
-//!   requests keep their `Arc` to the old profile.
+//!   with its preloaded anchor set ([`RootStore::verifier`]) so validation
+//!   borrows it per request and never rebuilds or clones it. A profile
+//!   swap replaces the whole [`StoreProfile`] atomically under a fresh
+//!   epoch; in-flight requests keep their `Arc` to the old profile.
 //! * **Membership shards** — `CertIdentity → profile names`, spread over
 //!   N shards by identity hash so concurrent `classify` lookups touch
 //!   independent locks.
 //!
-//! Cache entries are keyed by `(profile, epoch, chain)`; since a swap
-//! changes the epoch, stale verdicts die by *key mismatch* — no scan, no
-//! invalidation pass.
+//! Every install takes an epoch no install has had before, so an epoch
+//! names one profile version. Cache entries are keyed by `(epoch, chain)`;
+//! since a swap changes the epoch, stale verdicts die by *key mismatch* —
+//! no scan, no invalidation pass.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -46,9 +47,11 @@ pub struct StoreProfile {
     pub name: String,
     /// The underlying store.
     pub store: Arc<RootStore>,
-    /// A verifier preloaded with the store's enabled anchors.
+    /// The store's enabled anchors ([`RootStore::verifier`]), built once
+    /// at install; requests pass their presented chain per call.
     pub anchors: Arc<ChainVerifier>,
-    /// The epoch at which this profile was installed.
+    /// The epoch at which this profile was installed — unique to this
+    /// install across every profile of the index.
     pub epoch: u64,
 }
 
@@ -74,9 +77,7 @@ impl StoreIndex {
     /// releases, Mozilla, iOS 7), each under its canonical name.
     ///
     /// Every standard key is first generated in parallel (see
-    /// `prefetch_standard_keys`). The per-store anchor verifiers (the expensive part of a profile
-    /// install) are built in parallel on the ambient
-    /// [`tangled_exec::ExecPool`]; installs then publish sequentially in
+    /// `prefetch_standard_keys`); the stores then install in
     /// [`ReferenceStore::ALL`] order, so profile epochs are identical at
     /// any thread count.
     pub fn with_reference_profiles() -> StoreIndex {
@@ -94,8 +95,7 @@ impl StoreIndex {
     /// followed by the four ecosystem families (epochs 7–10,
     /// [`EcosystemStore::ALL`] order) — the store set the disparity
     /// engine compares and the `compare` wire op answers for. Keys are
-    /// prefetched and verifiers built as for
-    /// [`StoreIndex::with_reference_profiles`].
+    /// prefetched as for [`StoreIndex::with_reference_profiles`].
     pub fn with_standard_profiles() -> StoreIndex {
         prefetch_standard_keys();
         Self::preloaded(
@@ -111,41 +111,50 @@ impl StoreIndex {
         )
     }
 
-    /// Shared preload path: anchor verifiers (the expensive part of a
-    /// profile install) are built in parallel on the ambient
-    /// [`tangled_exec::ExecPool`]; installs then publish sequentially in
-    /// list order, so profile epochs are identical at any thread count.
+    /// Shared preload path: install in list order, so epochs run 1, 2, …
+    /// in that order. An anchor set is a few hundred hash inserts, so the
+    /// installs are serial.
     pub(crate) fn preloaded(stores: Vec<(&'static str, Arc<RootStore>)>) -> StoreIndex {
         let index = StoreIndex::new(DEFAULT_SHARDS);
-        let verifiers = tangled_exec::ExecPool::current()
-            .par_map_indexed(&stores, |_, (_, store)| build_anchor_verifier(store));
-        for ((name, store), verifier) in stores.into_iter().zip(verifiers) {
-            index.install_with_verifier(name, store, Arc::new(verifier));
+        for (name, store) in stores {
+            index.install(name, store);
         }
         index
     }
 
-    /// Install (or replace) a profile, bumping the global epoch. Returns
-    /// the installed profile.
+    /// Install (or replace) a profile under the next epoch. Returns the
+    /// installed profile.
     pub fn install(&self, name: &str, store: Arc<RootStore>) -> StoreProfile {
-        let verifier = build_anchor_verifier(&store);
-        self.install_with_verifier(name, store, Arc::new(verifier))
+        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        self.publish(name, store, epoch)
     }
 
-    /// As [`StoreIndex::install`] with a pre-built verifier — callers that
-    /// construct verifiers in parallel publish them through here, keeping
-    /// the epoch sequence a property of publish order alone.
-    pub fn install_with_verifier(
+    /// Install a profile *at* a recorded epoch, as checkpoint warm start
+    /// requires: folded swap records must land at the epochs the journal
+    /// originally produced so the post-restart epoch sequence is
+    /// indistinguishable from a full replay. `epoch` must be ahead of
+    /// the current counter (epochs only move forward, so no two installs
+    /// share one); the counter is advanced to `epoch` by the install.
+    /// Refused with the current epoch otherwise.
+    pub fn install_at_epoch(
         &self,
         name: &str,
         store: Arc<RootStore>,
-        anchors: Arc<ChainVerifier>,
-    ) -> StoreProfile {
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        epoch: u64,
+    ) -> Result<StoreProfile, u64> {
+        self.epoch
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |current| {
+                (epoch > current).then_some(epoch)
+            })?;
+        Ok(self.publish(name, store, epoch))
+    }
+
+    /// Publish `store` under `name` at an epoch the caller has claimed.
+    fn publish(&self, name: &str, store: Arc<RootStore>, epoch: u64) -> StoreProfile {
         let profile = StoreProfile {
             name: name.to_owned(),
+            anchors: Arc::new(store.verifier()),
             store: Arc::clone(&store),
-            anchors,
             epoch,
         };
 
@@ -170,26 +179,6 @@ impl StoreIndex {
             .expect("profiles poisoned")
             .insert(name.to_owned(), profile.clone());
         profile
-    }
-
-    /// Install a profile *at* a recorded epoch, as checkpoint warm start
-    /// requires: folded swap records must land at the epochs the journal
-    /// originally produced so the post-restart epoch sequence is
-    /// indistinguishable from a full replay. `epoch` must be ahead of
-    /// the current counter (epochs only move forward); the counter is
-    /// advanced to `epoch` by the install.
-    pub fn install_at_epoch(
-        &self,
-        name: &str,
-        store: Arc<RootStore>,
-        epoch: u64,
-    ) -> Result<StoreProfile, u64> {
-        let current = self.epoch.load(Ordering::SeqCst);
-        if epoch <= current {
-            return Err(current);
-        }
-        self.epoch.store(epoch - 1, Ordering::SeqCst);
-        Ok(self.install(name, store))
     }
 
     /// Look up a profile by name.
@@ -237,15 +226,6 @@ impl StoreIndex {
         id.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
-}
-
-/// Build a verifier over a store's enabled anchors.
-pub(crate) fn build_anchor_verifier(store: &RootStore) -> ChainVerifier {
-    let mut verifier = ChainVerifier::new();
-    for cert in store.enabled_certificates() {
-        verifier.add_anchor(cert);
-    }
-    verifier
 }
 
 #[cfg(test)]
@@ -324,6 +304,61 @@ mod tests {
         // Other anchors still resolve.
         let other = full.identities()[1].clone();
         assert_eq!(index.member_of(&other), vec!["device".to_owned()]);
+    }
+
+    #[test]
+    fn every_install_takes_a_fresh_epoch() {
+        let index = StoreIndex::new(2);
+        let store = ReferenceStore::Aosp41.cached();
+        assert_eq!(index.install("a", Arc::clone(&store)).epoch, 1);
+        // Epochs only move forward: at or behind the counter is refused
+        // with the counter, and nothing is published.
+        for behind in [0, 1] {
+            let refused = index.install_at_epoch("b", Arc::clone(&store), behind);
+            assert_eq!(refused.err(), Some(1));
+        }
+        assert!(index.profile("b").is_none());
+        // A gap is allowed, and later installs continue past it.
+        let ahead = index.install_at_epoch("b", Arc::clone(&store), 5).unwrap();
+        assert_eq!(ahead.epoch, 5);
+        assert_eq!(index.install("a", store).epoch, 6);
+        assert_eq!(index.current_epoch(), 6);
+    }
+
+    #[test]
+    fn presented_overlay_matches_a_cloned_verifier() {
+        use tangled_intercept::origin::OriginServers;
+        use tangled_intercept::proxy::MitmProxy;
+        use tangled_x509::{Certificate, ChainOptions, VerifiedChain};
+
+        let origin = OriginServers::for_table6();
+        let mut proxy = MitmProxy::reality_mine().unwrap();
+        let mut chains: Vec<Vec<Arc<Certificate>>> = Vec::new();
+        for target in origin.targets() {
+            chains.push(origin.chain(target).unwrap().to_vec());
+            chains.push(proxy.serve(target, &origin).unwrap());
+        }
+        let outcome = |r: Result<VerifiedChain, tangled_x509::ChainError>| {
+            r.map(|c| (c.anchor().subject.clone(), c.len()))
+                .map_err(|e| e.label())
+        };
+        let index = StoreIndex::with_standard_profiles();
+        let opts = ChainOptions::at(tangled_intercept::study_time());
+        let mut trusted = 0;
+        for name in tangled_pki::stores::standard_store_names() {
+            let anchors = index.profile(name).unwrap().anchors;
+            for chain in &chains {
+                let overlay = outcome(anchors.verify_chain(&chain[0], &chain[1..], opts));
+                let mut cloned = (*anchors).clone();
+                for link in &chain[1..] {
+                    cloned.add_intermediate(Arc::clone(link));
+                }
+                assert_eq!(overlay, outcome(cloned.verify(&chain[0], opts)), "{name}");
+                trusted += usize::from(overlay.is_ok());
+            }
+        }
+        // Both outcomes occur: origin chains anchor, proxy chains do not.
+        assert!(trusted > 0 && trusted < 10 * chains.len(), "{trusted}");
     }
 
     #[test]

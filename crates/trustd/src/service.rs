@@ -6,9 +6,9 @@
 //! offline paths: both run this exact function.
 //!
 //! Validation verdicts are memoised in a bounded LRU keyed by
-//! `(profile, epoch, ChainKey)`. The epoch component makes profile swaps
-//! self-invalidating: a swap bumps the epoch, so every stale entry simply
-//! stops being reachable and ages out of the LRU.
+//! `(epoch, ChainKey)`. The epoch component makes profile swaps
+//! self-invalidating: a swap installs under a fresh epoch, so every stale
+//! entry simply stops being reachable and ages out of the LRU.
 
 use crate::cache::LruCache;
 use crate::index::{StoreIndex, StoreProfile};
@@ -31,9 +31,13 @@ use tangled_pki::trust::AnchorSource;
 use tangled_pki::vocab::AndroidVersion;
 use tangled_x509::{Certificate, CertIdentity, ChainKey, ChainOptions};
 
-/// Memo-cache key: the verdict depends on the store (profile + epoch)
-/// and the presented chain, nothing else.
-type MemoKey = (String, u64, ChainKey);
+/// Memo-cache key: the verdict depends on the store and the presented
+/// chain, nothing else. The profile epoch alone names the store: every
+/// install takes an epoch no install has had before
+/// ([`StoreIndex::install`] advances the counter,
+/// [`StoreIndex::install_at_epoch`] refuses an epoch at or behind it), so
+/// two profiles never share one.
+type MemoKey = (u64, ChainKey);
 
 /// A handler's result: its reply, or the classified `error` reply that
 /// refused the request. Both go on the wire; the split only lets the
@@ -331,20 +335,16 @@ impl TrustService {
         certs: &[Arc<Certificate>],
         chain_key: ChainKey,
     ) -> (ChainVerdict, bool) {
-        let key: MemoKey = (profile.name.clone(), profile.epoch, chain_key);
+        let key: MemoKey = (profile.epoch, chain_key);
         if let Some(verdict) = self.cache.lock().expect("cache poisoned").get(&key) {
             self.stats.record_cache(true);
             return (verdict, true);
         }
         self.stats.record_cache(false);
 
-        // Preloaded anchors, per-request intermediates.
-        let mut verifier = (*profile.anchors).clone();
-        for link in &certs[1..] {
-            verifier.add_intermediate(Arc::clone(link));
-        }
+        // Preloaded anchors, borrowed; the presented intermediates.
         let opts = ChainOptions::at(tangled_intercept::study_time());
-        let verdict = match verifier.verify(&certs[0], opts) {
+        let verdict = match profile.anchors.verify_chain(&certs[0], &certs[1..], opts) {
             Ok(path) => ChainVerdict::Trusted {
                 anchor: path.anchor().subject.to_string(),
                 chain_len: path.len(),

@@ -3,13 +3,27 @@
 //! This is the operation behind the paper's Notary validation numbers
 //! (Tables 3–4, Figure 3): given a leaf certificate, a pool of candidate
 //! intermediates, and a root store, find a signature path from the leaf to
-//! a trust anchor. [`ChainVerifier`] indexes issuers by subject so lookups
-//! are O(1) per step; a naive quadratic builder is kept alongside for the
-//! ablation benchmark (DESIGN.md §5.2).
+//! a trust anchor. A naive quadratic builder is kept alongside as the
+//! reference and for the ablation benchmark (DESIGN.md §5.2).
+//!
+//! [`ChainVerifier`] indexes anchors and pooled intermediates by a `u64`
+//! digest of the subject [`DistinguishedName`]'s structure, and each
+//! lookup keeps only the bucket entries whose subject *equals* the issuer
+//! being sought. No name is rendered to a string on insert or at any
+//! search step, so two names that print alike but differ in structure
+//! (`CN="a,O=b"` against `CN=a`+`O=b`) never stand in for each other.
+//!
+//! A chain as a client presents it is checked with
+//! [`ChainVerifier::verify_chain`]: the presented intermediates are an
+//! overlay for that one call, tried after the pool's candidates and in
+//! presented order, so a shared anchor set is borrowed, never cloned.
 
 use crate::cert::Certificate;
+use crate::name::DistinguishedName;
 use crate::verify::{check_cert, CertCheckError, CertRole};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use tangled_asn1::Time;
 use tangled_crypto::sha256::sha256;
@@ -53,11 +67,12 @@ impl ChainKey {
     }
 
     /// Issuer-class fingerprint: one key per (leaf issuer, presented-chain
-    /// length) equivalence class.
+    /// length) equivalence class. The issuer enters as its DER, so two
+    /// issuers that render alike but differ in structure stay apart.
     pub fn issuer_class(leaf: &Certificate, presented_len: usize) -> ChainKey {
         let mut data = Vec::with_capacity(64);
         data.extend_from_slice(b"chain-key/issuer\0");
-        data.extend_from_slice(leaf.issuer.to_string().as_bytes());
+        data.extend_from_slice(&leaf.issuer.to_der());
         data.push(0);
         data.extend_from_slice(&(presented_len as u64).to_be_bytes());
         ChainKey(sha256(&data))
@@ -220,14 +235,6 @@ impl ChainPath {
     }
 }
 
-impl std::ops::Index<usize> for ChainPath {
-    type Output = Arc<Certificate>;
-
-    fn index(&self, index: usize) -> &Arc<Certificate> {
-        self.get(index).expect("chain path index out of bounds")
-    }
-}
-
 /// A successfully validated chain, leaf first, trust anchor last.
 #[derive(Debug, Clone)]
 pub struct VerifiedChain {
@@ -252,11 +259,36 @@ impl VerifiedChain {
     }
 }
 
+/// Certificates bucketed by [`name_key`] of their subject.
+type NameIndex = HashMap<u64, Vec<Arc<Certificate>>>;
+
+/// Bucket key of a name: a digest of its structure (the derived `Hash`).
+/// Lookups filter the bucket by full name equality, so a digest collision
+/// costs one comparison, never a wrong candidate.
+fn name_key(name: &DistinguishedName) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    name.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The certificates of `index` whose subject is exactly `name`, in
+/// insertion order.
+fn subjects_named<'a>(
+    index: &'a NameIndex,
+    name: &'a DistinguishedName,
+) -> impl Iterator<Item = &'a Arc<Certificate>> {
+    index
+        .get(&name_key(name))
+        .into_iter()
+        .flatten()
+        .filter(move |c| c.subject == *name)
+}
+
 /// A chain builder holding trust anchors and an intermediate pool.
 #[derive(Debug, Clone, Default)]
 pub struct ChainVerifier {
-    anchors_by_subject: HashMap<String, Vec<Arc<Certificate>>>,
-    intermediates_by_subject: HashMap<String, Vec<Arc<Certificate>>>,
+    anchors_by_subject: NameIndex,
+    intermediates_by_subject: NameIndex,
     blacklisted_keys: std::collections::HashSet<Vec<u8>>,
     n_anchors: usize,
     n_intermediates: usize,
@@ -271,16 +303,17 @@ impl ChainVerifier {
     /// Add a trust anchor (root-store member).
     pub fn add_anchor(&mut self, cert: Arc<Certificate>) {
         self.anchors_by_subject
-            .entry(cert.subject.to_string())
+            .entry(name_key(&cert.subject))
             .or_default()
             .push(cert);
         self.n_anchors += 1;
     }
 
-    /// Add a candidate intermediate certificate.
+    /// Add a candidate intermediate certificate to the pool every later
+    /// verification searches.
     pub fn add_intermediate(&mut self, cert: Arc<Certificate>) {
         self.intermediates_by_subject
-            .entry(cert.subject.to_string())
+            .entry(name_key(&cert.subject))
             .or_default()
             .push(cert);
         self.n_intermediates += 1;
@@ -317,14 +350,30 @@ impl ChainVerifier {
         self.n_intermediates
     }
 
-    /// Build and verify a chain from `leaf` to any trust anchor.
+    /// Build and verify a chain from `leaf` to any trust anchor, with the
+    /// pool as the only intermediates: [`ChainVerifier::verify_chain`]
+    /// with nothing presented.
+    pub fn verify(
+        &self,
+        leaf: &Arc<Certificate>,
+        opts: ChainOptions,
+    ) -> Result<VerifiedChain, ChainError> {
+        self.verify_chain(leaf, &[], opts)
+    }
+
+    /// Build and verify a chain from `leaf` to any trust anchor, trying
+    /// the `presented` intermediates for this call only: after the
+    /// pool's candidates and in presented order — the order a clone of
+    /// this verifier with each presented certificate added through
+    /// [`ChainVerifier::add_intermediate`] would give.
     ///
     /// Depth-first search over issuer candidates; the first fully valid
     /// path wins. The returned error is the most specific failure seen
     /// (a signature/validity failure beats [`ChainError::NoPathToTrustAnchor`]).
-    pub fn verify(
+    pub fn verify_chain(
         &self,
         leaf: &Arc<Certificate>,
+        presented: &[Arc<Certificate>],
         opts: ChainOptions,
     ) -> Result<VerifiedChain, ChainError> {
         check_cert(leaf, opts.at, CertRole::Leaf).map_err(ChainError::CertCheck)?;
@@ -333,7 +382,7 @@ impl ChainVerifier {
         }
         let mut best_err = ChainError::NoPathToTrustAnchor;
         let mut path = ChainPath::new(Arc::clone(leaf));
-        if let Some(chain) = self.search(&mut path, opts, &mut best_err) {
+        if let Some(chain) = self.search(&mut path, presented, opts, &mut best_err) {
             Ok(chain)
         } else {
             Err(best_err)
@@ -343,6 +392,7 @@ impl ChainVerifier {
     fn search(
         &self,
         path: &mut ChainPath,
+        presented: &[Arc<Certificate>],
         opts: ChainOptions,
         best_err: &mut ChainError,
     ) -> Option<VerifiedChain> {
@@ -351,18 +401,16 @@ impl ChainVerifier {
             *best_err = ChainError::PathTooLong;
             return None;
         }
-        let issuer_subject = current.issuer.to_string();
+        let issuer = &current.issuer;
         // CA certs between a candidate issuer and the leaf = number of
         // non-leaf certs already on the path.
         let ca_below = (path.len() - 1) as u32;
+        let issuer_role = CertRole::Issuer {
+            ca_certs_below: ca_below,
+        };
 
         // Try anchors first: shortest chains win and anchors terminate.
-        for anchor in self
-            .anchors_by_subject
-            .get(&issuer_subject)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-        {
+        for anchor in subjects_named(&self.anchors_by_subject, issuer) {
             if self.is_blacklisted(anchor) {
                 *best_err = ChainError::Blacklisted;
                 continue;
@@ -393,38 +441,38 @@ impl ChainVerifier {
             return Some(VerifiedChain { path: full });
         }
 
-        // Then intermediates.
-        if let Some(candidates) = self.intermediates_by_subject.get(&issuer_subject) {
-            for cand in candidates {
-                // Avoid loops: an intermediate may appear once per path.
-                if path.iter().any(|c| Arc::ptr_eq(c, cand) || **c == **cand) {
-                    continue;
-                }
-                if self.is_blacklisted(cand) {
-                    *best_err = ChainError::Blacklisted;
-                    continue;
-                }
-                if let Err(e) = check_cert(cand, opts.at, CertRole::Issuer { ca_certs_below: ca_below }) {
-                    *best_err = ChainError::CertCheck(e);
-                    continue;
-                }
-                if current.verify_issued_by(cand).is_err() {
-                    *best_err = ChainError::BadSignature;
-                    continue;
-                }
-                path.push(Arc::clone(cand));
-                if let Some(found) = self.search(path, opts, best_err) {
-                    return Some(found);
-                }
-                path.pop();
+        // Then intermediates: the pool's, then the presented overlay.
+        let overlay = presented.iter().filter(|c| c.subject == *issuer);
+        for cand in subjects_named(&self.intermediates_by_subject, issuer).chain(overlay) {
+            // Avoid loops: an intermediate may appear once per path.
+            if path.iter().any(|c| Arc::ptr_eq(c, cand) || **c == **cand) {
+                continue;
             }
+            if self.is_blacklisted(cand) {
+                *best_err = ChainError::Blacklisted;
+                continue;
+            }
+            if let Err(e) = check_cert(cand, opts.at, issuer_role) {
+                *best_err = ChainError::CertCheck(e);
+                continue;
+            }
+            if current.verify_issued_by(cand).is_err() {
+                *best_err = ChainError::BadSignature;
+                continue;
+            }
+            path.push(Arc::clone(cand));
+            if let Some(found) = self.search(path, presented, opts, best_err) {
+                return Some(found);
+            }
+            path.pop();
         }
         None
     }
 
-    /// Naive quadratic chain builder retained for the ablation benchmark:
-    /// scans every anchor and intermediate at each step instead of using
-    /// the subject index. Semantics match [`ChainVerifier::verify`].
+    /// Naive quadratic chain builder retained as the reference and for the
+    /// ablation benchmark: scans every anchor and intermediate at each step
+    /// instead of using the subject index, and compares names for
+    /// equality. Semantics match [`ChainVerifier::verify`].
     pub fn verify_naive(
         &self,
         leaf: &Arc<Certificate>,
@@ -579,7 +627,7 @@ mod tests {
         let chain = v.verify(&f.leaf, ChainOptions::at(at())).unwrap();
         assert_eq!(chain.len(), 3);
         assert_eq!(chain.anchor().subject, f.root.subject);
-        assert_eq!(chain.path[0].subject, f.leaf.subject);
+        assert_eq!(chain.path.leaf().subject, f.leaf.subject);
     }
 
     #[test]
@@ -889,8 +937,8 @@ mod tests {
         p.push(Arc::clone(&f.root));
         assert_eq!(p.len(), 3);
         assert!(Arc::ptr_eq(p.last(), &f.root));
-        assert!(Arc::ptr_eq(&p[0], &f.leaf));
-        assert!(Arc::ptr_eq(&p[2], &f.root));
+        assert!(Arc::ptr_eq(p.get(0).unwrap(), &f.leaf));
+        assert!(Arc::ptr_eq(p.get(2).unwrap(), &f.root));
         assert!(p.get(3).is_none());
         let subjects: Vec<_> = p.iter().map(|c| c.subject.to_string()).collect();
         assert_eq!(subjects.len(), 3);
@@ -936,6 +984,89 @@ mod tests {
         );
         assert_eq!(k1.to_hex().len(), 64);
         assert_eq!(format!("{k1:?}").len(), "ChainKey(".len() + 16 + 1);
+    }
+
+    /// Two names that both render `CN=a,O=b`: a CN plus an O, and a
+    /// single CN whose value holds the comma.
+    fn rendering_twins() -> (DistinguishedName, DistinguishedName) {
+        let structured = DistinguishedName::builder()
+            .common_name("a")
+            .organization("b")
+            .build();
+        let flat = DistinguishedName::common_name("a,O=b");
+        assert_eq!(structured.to_string(), flat.to_string());
+        assert_ne!(structured, flat);
+        (structured, flat)
+    }
+
+    #[test]
+    fn issuer_lookup_is_exact_not_by_rendering() {
+        // The anchor is the structured name; the leaf's issuer is its
+        // rendering twin, signed by an unrelated key. No anchor is the
+        // leaf's issuer, so the answer is no path, not a bad signature.
+        let (structured, flat) = rendering_twins();
+        let root_kp = RsaKeyPair::generate(512, &mut SplitMix64::new(250)).unwrap();
+        let twin_kp = RsaKeyPair::generate(512, &mut SplitMix64::new(251)).unwrap();
+        let leaf_kp = RsaKeyPair::generate(512, &mut SplitMix64::new(252)).unwrap();
+        let root =
+            CertificateBuilder::self_signed_root(structured, nb(), na(), &root_kp, Uint::one())
+                .unwrap();
+        let leaf = Arc::new(
+            CertificateBuilder::new(
+                flat,
+                DistinguishedName::common_name("twin leaf"),
+                nb(),
+                na(),
+            )
+            .tls_server(vec!["twin".into()])
+            .sign(leaf_kp.public_key(), &twin_kp)
+            .unwrap(),
+        );
+        let mut v = ChainVerifier::new();
+        v.add_anchor(Arc::new(root));
+        let opts = ChainOptions::at(at());
+        assert_eq!(
+            v.verify(&leaf, opts).unwrap_err(),
+            ChainError::NoPathToTrustAnchor
+        );
+        assert_eq!(
+            v.verify_naive(&leaf, opts).unwrap_err(),
+            ChainError::NoPathToTrustAnchor
+        );
+    }
+
+    #[test]
+    fn issuer_class_keys_names_exactly() {
+        let (structured, flat) = rendering_twins();
+        let kp = RsaKeyPair::generate(512, &mut SplitMix64::new(253)).unwrap();
+        let leaf_under = |issuer: DistinguishedName| {
+            CertificateBuilder::new(issuer, DistinguishedName::common_name("l"), nb(), na())
+                .sign(kp.public_key(), &kp)
+                .unwrap()
+        };
+        assert_ne!(
+            ChainKey::issuer_class(&leaf_under(structured), 2),
+            ChainKey::issuer_class(&leaf_under(flat), 2)
+        );
+    }
+
+    #[test]
+    fn presented_intermediates_are_an_overlay_for_one_call() {
+        let f = fixture();
+        let mut anchors = ChainVerifier::new();
+        anchors.add_anchor(Arc::clone(&f.root));
+        let opts = ChainOptions::at(at());
+        let presented = [Arc::clone(&f.intermediate)];
+        let overlay = anchors.verify_chain(&f.leaf, &presented, opts).unwrap();
+        let pooled = verifier(&f).verify(&f.leaf, opts).unwrap();
+        assert_eq!(overlay.len(), pooled.len());
+        assert_eq!(overlay.anchor().subject, pooled.anchor().subject);
+        // The overlay is not kept: the verifier still has no intermediate.
+        assert_eq!(anchors.intermediate_count(), 0);
+        assert_eq!(
+            anchors.verify(&f.leaf, opts).unwrap_err(),
+            ChainError::NoPathToTrustAnchor
+        );
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub fn encode(label: &str, der: &[u8]) -> String {
     let mut out = String::with_capacity(b64.len() + label.len() * 2 + 40);
     out.push_str(&format!("-----BEGIN {label}-----\n"));
     for line in b64.as_bytes().chunks(64) {
-        out.push_str(std::str::from_utf8(line).expect("base64 is ASCII"));
+        out.extend(line.iter().copied().map(char::from));
         out.push('\n');
     }
     out.push_str(&format!("-----END {label}-----\n"));
@@ -165,7 +165,10 @@ pub fn decode_certificates(text: &str) -> Result<Vec<Certificate>, X509Error> {
         let cert = decode_certificate(chunk)?;
         out.push(cert);
         let footer = "-----END CERTIFICATE-----";
-        let end = chunk.find(footer).expect("decode succeeded") + footer.len();
+        let end = chunk
+            .find(footer)
+            .ok_or(X509Error::Malformed("invalid PEM armor"))?
+            + footer.len();
         rest = &chunk[end..];
     }
     Ok(out)

@@ -9,7 +9,7 @@ use tangled_mass::pki::cacerts::{from_cacerts, subject_hash, to_cacerts, Cacerts
 use tangled_mass::pki::diff::diff;
 use tangled_mass::pki::stores::{global_factory, ReferenceStore};
 use tangled_mass::pki::trust::AnchorSource;
-use tangled_mass::x509::{Certificate, ChainOptions, ChainVerifier};
+use tangled_mass::x509::{Certificate, ChainOptions};
 
 /// The §6 attack end to end at the byte level: a root app writes a rogue
 /// certificate file into the cacerts directory; a later audit re-reads the
@@ -41,20 +41,15 @@ fn rooted_tampering_full_cycle() {
     assert!(d.added[0].subject.contains("CRAZY HOUSE"));
 
     // Consequence: the tampered store now validates a forged Google leaf.
-    let mut tampered = ChainVerifier::new();
-    for cert in observed.enabled_certificates() {
-        tampered.add_anchor(cert);
-    }
+    let tampered = observed.verifier();
     let opts = ChainOptions::at(tangled_mass::intercept::study_time());
-    let chain = tampered.verify(&mal_leaf, opts).expect("rogue chain anchors");
+    let chain = tampered
+        .verify(&mal_leaf, opts)
+        .expect("rogue chain anchors");
     assert!(chain.anchor().subject.to_string().contains("CRAZY HOUSE"));
 
     // The stock store rejects the same leaf.
-    let mut stock = ChainVerifier::new();
-    for cert in aosp.enabled_certificates() {
-        stock.add_anchor(cert);
-    }
-    assert!(stock.verify(&mal_leaf, opts).is_err());
+    assert!(aosp.verifier().verify(&mal_leaf, opts).is_err());
 }
 
 /// Certificates survive a full serialize → reparse cycle with identical
@@ -161,27 +156,21 @@ fn platform_blacklist_beats_installed_proxy_root() {
     let opts = ChainOptions::at(tangled_mass::intercept::study_time());
 
     // Without the blacklist, the tampered store anchors the forged chain.
-    let mut verifier = ChainVerifier::new();
-    for cert in rooted.enabled_certificates() {
-        verifier.add_anchor(cert);
-    }
-    for link in &chain[1..] {
-        verifier.add_intermediate(Arc::clone(link));
-    }
-    assert!(verifier.verify(&chain[0], opts).is_ok());
+    let mut verifier = rooted.verifier();
+    assert!(verifier.verify_chain(&chain[0], &chain[1..], opts).is_ok());
 
     // With the proxy root's key blacklisted, validation fails everywhere
     // the key appears, even though the store still trusts the anchor.
     verifier.blacklist_key(&proxy.root_cert().public_key);
     assert_eq!(
-        verifier.verify(&chain[0], opts).unwrap_err(),
+        verifier.verify_chain(&chain[0], &chain[1..], opts).unwrap_err(),
         tangled_mass::x509::ChainError::Blacklisted
     );
 
     // Legitimate chains are untouched by the blacklist.
     let clean_target = Target::parse("www.facebook.com:443").unwrap();
     let clean = origin.chain(&clean_target).unwrap();
-    assert!(verifier.verify(&clean[0], opts).is_ok());
+    assert!(verifier.verify_chain(&clean[0], &clean[1..], opts).is_ok());
 }
 
 /// Firmware images share store allocations between devices, and device
