@@ -38,34 +38,25 @@ impl ValidationIndex {
     /// fill-order race is unobservable in results — tallies merge in shard
     /// order and the index is bit-identical at any thread count.
     pub fn build(eco: &Ecosystem) -> ValidationIndex {
-        Self::build_inner(eco, true, &ExecPool::current()).0
+        Self::build_inner(eco, true, &ExecPool::current())
     }
 
     /// As [`ValidationIndex::build`] but without the issuer memoisation —
     /// every chain runs full path construction and signature verification.
     pub fn build_unmemoised(eco: &Ecosystem) -> ValidationIndex {
-        Self::build_inner(eco, false, &ExecPool::current()).0
+        Self::build_inner(eco, false, &ExecPool::current())
     }
 
     /// As [`ValidationIndex::build`] but on an explicit pool — the
     /// determinism tests pin widths without touching process-global state.
     pub fn build_with_pool(eco: &Ecosystem, pool: &ExecPool) -> ValidationIndex {
-        Self::build_inner(eco, true, pool).0
+        Self::build_inner(eco, true, pool)
     }
 
-    /// As [`ValidationIndex::build`], additionally returning the per-shard
-    /// build latencies in microseconds (ascending shard order). `tangled
-    /// stats` summarises these as p50/p99; the timings are observational
-    /// and do not influence the index.
-    pub fn build_with_latencies(eco: &Ecosystem) -> (ValidationIndex, Vec<u64>) {
-        Self::build_inner(eco, true, &ExecPool::current())
-    }
-
-    fn build_inner(
-        eco: &Ecosystem,
-        memoise: bool,
-        pool: &ExecPool,
-    ) -> (ValidationIndex, Vec<u64>) {
+    /// The build. Per-shard latencies go to the registry histogram
+    /// `notary.validate.shard_us` (`tangled stats` prints its p50/p99);
+    /// the timings are observational and do not influence the index.
+    fn build_inner(eco: &Ecosystem, memoise: bool, pool: &ExecPool) -> ValidationIndex {
         // Shard boundaries depend on the cert count alone, so the span and
         // its per-shard point events are width-invariant; only the timings
         // (registry histograms) vary run to run.
@@ -110,7 +101,6 @@ impl ValidationIndex {
         let mut validated_total = 0u32;
         let mut total_non_expired = 0u32;
         let mut total_sessions = 0u64;
-        let mut latencies = Vec::with_capacity(tallies.len());
         for (s, t) in tallies.into_iter().enumerate() {
             for (id, n) in t.per_root {
                 *per_root.entry(id).or_default() += n;
@@ -133,7 +123,6 @@ impl ValidationIndex {
                 ],
             );
             tangled_obs::registry::observe("notary.validate.shard_us", t.micros);
-            latencies.push(t.micros);
         }
 
         let index = ValidationIndex {
@@ -160,7 +149,7 @@ impl ValidationIndex {
                 ),
             ],
         );
-        (index, latencies)
+        index
     }
 
     /// Certificates a single root (by identity) validates.
@@ -382,14 +371,6 @@ mod tests {
                 assert_eq!(idx.store_sessions(&store), base.store_sessions(&store));
             }
         }
-    }
-
-    #[test]
-    fn shard_latencies_cover_every_shard() {
-        let eco = Ecosystem::generate(&EcosystemSpec::scaled(0.02));
-        let (idx, latencies) = ValidationIndex::build_with_latencies(&eco);
-        assert_eq!(latencies.len(), fixed_shard_count(eco.certs.len()));
-        assert!(idx.validated_total() > 0);
     }
 
     #[test]

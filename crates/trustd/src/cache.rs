@@ -19,8 +19,8 @@ struct Slot<K, V> {
 /// A bounded least-recently-used cache.
 ///
 /// Capacity 0 disables the cache entirely: `insert` is a no-op and every
-/// `get` is a miss — the configuration the uncached serving benchmark
-/// runs under.
+/// `get` is a miss. Hit and miss counts live in the service's stats, not
+/// here.
 pub struct LruCache<K, V> {
     map: HashMap<K, usize>,
     slots: Vec<Slot<K, V>>,
@@ -28,9 +28,6 @@ pub struct LruCache<K, V> {
     head: Option<usize>,
     tail: Option<usize>,
     capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl<K: Clone + Eq + Hash, V: Clone> LruCache<K, V> {
@@ -43,26 +40,15 @@ impl<K: Clone + Eq + Hash, V: Clone> LruCache<K, V> {
             head: None,
             tail: None,
             capacity,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
     /// Look up `key`, promoting it to most-recently-used on a hit.
     pub fn get(&mut self, key: &K) -> Option<V> {
-        match self.map.get(key).copied() {
-            Some(idx) => {
-                self.hits += 1;
-                self.detach(idx);
-                self.attach_front(idx);
-                Some(self.slots[idx].value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let idx = self.map.get(key).copied()?;
+        self.detach(idx);
+        self.attach_front(idx);
+        Some(self.slots[idx].value.clone())
     }
 
     /// Insert (or refresh) an entry, evicting the least-recently-used
@@ -83,7 +69,6 @@ impl<K: Clone + Eq + Hash, V: Clone> LruCache<K, V> {
             let old = &self.slots[victim];
             self.map.remove(&old.key);
             self.free.push(victim);
-            self.evictions += 1;
         }
         let idx = match self.free.pop() {
             Some(idx) => {
@@ -117,21 +102,6 @@ impl<K: Clone + Eq + Hash, V: Clone> LruCache<K, V> {
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Lifetime eviction count.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Keys in most-recently-used-first order (test introspection).
@@ -190,8 +160,7 @@ mod tests {
         c.insert(4, "d");
         assert_eq!(c.get(&2), None, "2 was evicted");
         assert_eq!(c.len(), 3);
-        assert_eq!(c.keys_mru(), vec![4, 1, 3]);
-        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.keys_mru(), vec![4, 1, 3], "exactly one eviction");
     }
 
     #[test]
@@ -203,7 +172,7 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.keys_mru(), vec![1, 2]);
         assert_eq!(c.get(&1), Some(11));
-        assert_eq!(c.evictions(), 0);
+        assert_eq!(c.get(&2), Some(20), "nothing evicted");
     }
 
     #[test]
@@ -212,18 +181,7 @@ mod tests {
         c.insert(1, 10);
         assert_eq!(c.get(&1), None);
         assert!(c.is_empty());
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 1);
-    }
-
-    #[test]
-    fn hit_miss_counters_track_lookups() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
-        c.insert(7, 70);
-        assert_eq!(c.get(&7), Some(70));
-        assert_eq!(c.get(&8), None);
-        assert_eq!(c.get(&7), Some(70));
-        assert_eq!((c.hits(), c.misses()), (2, 1));
+        assert!(c.keys_mru().is_empty());
     }
 
     #[test]
@@ -233,7 +191,10 @@ mod tests {
             c.insert(i, i * 10);
             assert_eq!(c.get(&i), Some(i * 10));
             assert_eq!(c.len(), 1);
+            if i > 0 {
+                assert_eq!(c.get(&(i - 1)), None, "previous entry evicted");
+            }
         }
-        assert_eq!(c.evictions(), 9);
+        assert_eq!(c.keys_mru(), vec![9]);
     }
 }

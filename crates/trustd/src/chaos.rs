@@ -4,17 +4,17 @@
 //! Everything here is synchronous and deterministic: the request mix
 //! comes from [`crate::replay::queries`], each attempt runs the *real*
 //! [`TrustClient`] over a [`ChaosStream`]-wrapped simulated connection
-//! into the *real* server frame loop ([`serve_stream`], the state
-//! machine the TCP server multiplexes), and every RNG is seeded.
-//! Same [`ChaosSpec`], same faults, same outcomes, byte for byte — the
-//! ledger is comparable with `cmp` across runs, which is exactly what
-//! the CI chaos smoke does.
+//! into the *real* connection state machine the TCP server multiplexes
+//! ([`serve_bytes`]), and every RNG is seeded. Same [`ChaosSpec`], same
+//! faults, same outcomes, byte for byte — the ledger is comparable with
+//! `cmp` across runs, which is exactly what the CI chaos smoke does.
 //!
 //! The harness asserts the **conservation invariant**: every issued
 //! request resolves to exactly one of
 //!
 //! * **answered-correct** — the reply's canonical form matches the
-//!   verdict a clean offline service computes for the same request;
+//!   verdict the offline driver ([`offline_verdicts`]) computes for the
+//!   same request;
 //! * **shed-with-busy** — every attempt was refused with an explicit
 //!   `busy` frame;
 //! * **failed-with-classified-fault** — attempts exhausted, and every
@@ -26,8 +26,8 @@
 //! vanished or was silently corrupted by the stack itself.
 
 use crate::client::TrustClient;
-use crate::event::serve_stream;
-use crate::replay::{canonical, population, queries, ReplaySpec};
+use crate::event::serve_bytes;
+use crate::replay::{canonical, offline_verdicts, population, queries, ReplaySpec};
 use crate::service::{TrustService, DEFAULT_CACHE_CAPACITY};
 use crate::wire::{self, Response};
 use rand::rngs::StdRng;
@@ -101,97 +101,37 @@ impl ChaosReport {
 /// One simulated connection to an in-process server.
 ///
 /// The client writes its (chaos-damaged) request bytes into `inbox`;
-/// the first read runs the real server frame loop over them — or, when
-/// the admission roll shed this attempt, emits a lone `busy` frame —
+/// the first read serves them whole through [`serve_bytes`] — or, when
+/// the admission roll shed this attempt, answers a lone `busy` frame —
 /// and subsequent reads drain the server's output. End of output is a
 /// clean close, exactly like a TCP FIN at a frame boundary.
 struct SimConn<'a> {
     service: &'a TrustService,
-    inbox: Vec<u8>,
-    outbox: Vec<u8>,
-    pos: usize,
-    served: bool,
     busy: bool,
-}
-
-impl<'a> SimConn<'a> {
-    fn new(service: &'a TrustService, busy: bool) -> SimConn<'a> {
-        SimConn {
-            service,
-            inbox: Vec::new(),
-            outbox: Vec::new(),
-            pos: 0,
-            served: false,
-            busy,
-        }
-    }
-
-    fn run_server(&mut self) {
-        if self.busy {
-            // Admission shed: the server never reads the request — it
-            // answers one busy frame and closes, same as the TCP accept
-            // thread over its backlog budget.
-            let _ = wire::write_frame(&mut self.outbox, &Response::Busy.encode());
-            return;
-        }
-        let mut stream = ServerSide {
-            input: &self.inbox,
-            pos: 0,
-            output: &mut self.outbox,
-        };
-        serve_stream(&mut stream, self.service);
-    }
+    inbox: Vec<u8>,
+    /// The server's output, produced at the first read.
+    outbox: Option<io::Cursor<Vec<u8>>>,
 }
 
 impl Read for SimConn<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if !self.served {
-            self.served = true;
-            self.run_server();
-        }
-        if self.pos >= self.outbox.len() {
-            return Ok(0);
-        }
-        let n = buf.len().min(self.outbox.len() - self.pos);
-        buf[..n].copy_from_slice(&self.outbox[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
+        let outbox = self.outbox.get_or_insert_with(|| {
+            if self.busy {
+                // Admission shed: the server never reads the request, the
+                // same as the TCP accept thread over its backlog budget.
+                let mut out = Vec::new();
+                let _ = wire::write_frame(&mut out, &Response::Busy.encode());
+                return io::Cursor::new(out);
+            }
+            io::Cursor::new(serve_bytes(&self.inbox, self.service).0)
+        });
+        outbox.read(buf)
     }
 }
 
 impl Write for SimConn<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.inbox.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// The server's view of a [`SimConn`]: reads drain the client's bytes
-/// (EOF afterwards = the client half-closed), writes collect replies.
-struct ServerSide<'a> {
-    input: &'a [u8],
-    pos: usize,
-    output: &'a mut Vec<u8>,
-}
-
-impl Read for ServerSide<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.pos >= self.input.len() {
-            return Ok(0);
-        }
-        let n = buf.len().min(self.input.len() - self.pos);
-        buf[..n].copy_from_slice(&self.input[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-impl Write for ServerSide<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.output.extend_from_slice(buf);
         Ok(buf.len())
     }
     fn flush(&mut self) -> io::Result<()> {
@@ -211,6 +151,62 @@ enum Attempt {
     Transport(&'static str),
 }
 
+impl Attempt {
+    /// The ledger's `outcome=` field.
+    fn text(&self) -> String {
+        match self {
+            Attempt::Correct => "answered".to_owned(),
+            Attempt::Busy => "busy".to_owned(),
+            Attempt::Rejected(c) => format!("rejected:{c}"),
+            Attempt::Mismatch(c) => format!("mismatch:{c}"),
+            Attempt::Transport(label) => format!("transport:{label}"),
+        }
+    }
+}
+
+/// What the harness does after one attempt.
+#[derive(Clone, Copy)]
+enum Action {
+    /// Answered correctly: the request is resolved.
+    Done,
+    /// Busy on the last attempt: resolved as shed.
+    Shed,
+    /// Failed on the last attempt, with an injected fault to blame.
+    Failed,
+    /// Failed with no injected fault to blame: a conservation breach.
+    Violation,
+    /// Try again.
+    Retry,
+}
+
+impl Action {
+    /// Decide from the attempt's outcome, whether a fault was injected
+    /// into it, and whether the retry budget is spent.
+    fn after(outcome: &Attempt, injected: bool, exhausted: bool) -> Action {
+        match outcome {
+            Attempt::Correct => Action::Done,
+            Attempt::Busy if exhausted => Action::Shed,
+            Attempt::Busy => Action::Retry,
+            // The stack itself corrupted, misanswered or dropped an
+            // undamaged request.
+            _ if !injected => Action::Violation,
+            _ if exhausted => Action::Failed,
+            _ => Action::Retry,
+        }
+    }
+
+    /// The ledger's `action=` field.
+    fn label(self) -> &'static str {
+        match self {
+            Action::Done => "done",
+            Action::Shed => "shed",
+            Action::Failed => "failed",
+            Action::Violation => "violation",
+            Action::Retry => "retry",
+        }
+    }
+}
+
 /// Run the harness.
 pub fn run(spec: &ChaosSpec) -> ChaosReport {
     let replay_spec = ReplaySpec::new(spec.seed, spec.requests.max(1));
@@ -218,15 +214,8 @@ pub fn run(spec: &ChaosSpec) -> ChaosReport {
     let mut requests = queries(&pop, &replay_spec);
     requests.truncate(spec.requests.max(1));
 
-    // Expected verdicts from a clean, fault-free service — the oracle.
-    let oracle = TrustService::new(DEFAULT_CACHE_CAPACITY);
-    let expected: Vec<String> = requests
-        .iter()
-        .map(|req| canonical(&oracle.handle(req)))
-        .collect();
-
-    // The service under fire. Separate instance so the oracle's counters
-    // stay clean.
+    // Expected verdicts from the offline driver — the oracle.
+    let expected = offline_verdicts(&requests);
     let service = TrustService::new(DEFAULT_CACHE_CAPACITY);
 
     let plan = ChaosPlan::new(spec.seed).with_rate(spec.rate).only(&spec.kinds);
@@ -251,7 +240,12 @@ pub fn run(spec: &ChaosSpec) -> ChaosReport {
             salt += 1;
             let busy = busy_rng.gen_bool(spec.busy_rate);
             let ledger = Arc::new(Mutex::new(Vec::<WireFault>::new()));
-            let conn = SimConn::new(&service, busy);
+            let conn = SimConn {
+                service: &service,
+                busy,
+                inbox: Vec::new(),
+                outbox: None,
+            };
             let stream = ChaosStream::with_ledger(conn, &plan, salt, Arc::clone(&ledger));
             let mut client = TrustClient::from_stream(stream);
             client.set_response_ticks(50);
@@ -282,69 +276,28 @@ pub fn run(spec: &ChaosSpec) -> ChaosReport {
                 Err(e) => Attempt::Transport(crate::resilient::classify(&e)),
             };
 
-            let injected = !faults.is_empty();
-            let exhausted = attempt >= spec.max_attempts;
-            let (outcome_text, action) = match &outcome {
-                Attempt::Correct => ("answered".to_owned(), "done"),
-                Attempt::Busy => (
-                    "busy".to_owned(),
-                    if exhausted { "shed" } else { "retry" },
-                ),
-                Attempt::Rejected(c) | Attempt::Mismatch(c) => {
-                    let text = match &outcome {
-                        Attempt::Rejected(_) => format!("rejected:{c}"),
-                        _ => format!("mismatch:{c}"),
-                    };
-                    if !injected {
-                        // The stack itself corrupted or misanswered an
-                        // undamaged request: conservation breach.
-                        (text, "violation")
-                    } else if exhausted {
-                        (text, "failed")
-                    } else {
-                        (text, "retry")
-                    }
-                }
-                Attempt::Transport(label) => {
-                    let text = format!("transport:{label}");
-                    if !injected {
-                        (text, "violation")
-                    } else if exhausted {
-                        (text, "failed")
-                    } else {
-                        (text, "retry")
-                    }
-                }
-            };
-
+            let action =
+                Action::after(&outcome, !faults.is_empty(), attempt >= spec.max_attempts);
             report.ledger.push_str(&format!(
                 "req={i:04} kind={} attempt={attempt} busy={} fault={fault_label} \
-                 outcome={outcome_text} action={action}\n",
+                 outcome={} action={}\n",
                 req.kind(),
                 if busy { 1 } else { 0 },
+                outcome.text(),
+                action.label(),
             ));
 
             match action {
-                "done" => {
-                    report.answered += 1;
-                    break;
-                }
-                "shed" => {
-                    report.shed += 1;
-                    break;
-                }
-                "failed" => {
-                    report.failed += 1;
-                    break;
-                }
-                "violation" => {
-                    report.violations += 1;
-                    break;
-                }
-                _ => {
+                Action::Done => report.answered += 1,
+                Action::Shed => report.shed += 1,
+                Action::Failed => report.failed += 1,
+                Action::Violation => report.violations += 1,
+                Action::Retry => {
                     report.retries += 1;
+                    continue;
                 }
             }
+            break;
         }
     }
 
@@ -487,15 +440,12 @@ mod tests {
             wire::write_frame(&mut buf, &Request::Stats.encode()).unwrap();
             buf
         };
+        let (clean, _) = serve_bytes(&request_bytes, &service);
         let mut replies = Vec::new();
         {
-            let side = ServerSide {
-                input: &request_bytes,
-                pos: 0,
-                output: &mut replies,
-            };
-            let mut chaos = ChaosStream::new(side, &plan, 0);
-            serve_stream(&mut chaos, &service);
+            let mut chaos = ChaosStream::new(&mut replies, &plan, 0);
+            chaos.write_all(&clean).unwrap();
+            chaos.flush().unwrap();
         }
         // The client sees a frame whose body no longer decodes (or whose
         // JSON changed); either way it is classified, never silent.

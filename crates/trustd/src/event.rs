@@ -39,6 +39,11 @@
 //! all replies into one write buffer, so a depth-N burst costs ~one read
 //! and ~one coalesced write instead of N of each — replies are always
 //! written in request order per connection.
+//!
+//! One connection state machine, two drivers: the TCP loop, and
+//! [`serve_bytes`], which feeds an in-memory byte string to the same
+//! state machine for the chaos harness and the pipelining tests. Only the
+//! TCP loop reads a socket or keeps a deadline.
 
 use crate::service::TrustService;
 use crate::wire::{self, Request, Response, WireError, MAX_FRAME, READ_TICK, STALL_BUDGET};
@@ -104,7 +109,8 @@ const SPIN_SWEEPS: u32 = 64;
 /// queueing replies (in request order) into the write buffer;
 /// [`ConnState::flush_once`] pushes the write buffer out as far as the
 /// socket accepts, keeping the remainder for the next readiness sweep.
-pub(crate) struct ConnState {
+/// Two callers drive it: the TCP [`event_loop`] and [`serve_bytes`].
+struct ConnState {
     /// Received-but-undecoded bytes (at most one partial frame plus
     /// whatever arrived behind it).
     rbuf: Vec<u8>,
@@ -124,7 +130,7 @@ pub(crate) struct ConnState {
 }
 
 impl ConnState {
-    pub(crate) fn new(span: u64) -> ConnState {
+    fn new(span: u64) -> ConnState {
         ConnState {
             rbuf: Vec::new(),
             drain: 0,
@@ -211,7 +217,8 @@ impl ConnState {
 
     /// The peer closed its write side. Mid-frame EOF is a classified
     /// truncation; EOF while skipping an oversized body is *not* a second
-    /// fault (the oversized frame was already recorded).
+    /// fault (the oversized frame was already recorded). A dead stall
+    /// mid-frame takes the same path.
     fn on_eof(&mut self, service: &TrustService) {
         if self.drain == 0 && !self.rbuf.is_empty() {
             let e = WireError::Truncated;
@@ -220,12 +227,6 @@ impl ConnState {
             self.push_reply(&reply);
         }
         self.closing = true;
-    }
-
-    /// A dead stall mid-frame (the consecutive stall budget ran out) —
-    /// same classification as an EOF in the same position.
-    fn on_stalled(&mut self, service: &TrustService) {
-        self.on_eof(service);
     }
 
     fn push_reply(&mut self, reply: &Response) {
@@ -264,82 +265,24 @@ impl ConnState {
         }
         Ok(true)
     }
-
-    /// Drain the reply buffer completely, tolerating stalls under the
-    /// same consecutive budget as the wire write path — the synchronous
-    /// twin of [`ConnState::flush_once`] for the single-connection loop.
-    fn flush_blocking(&mut self, w: &mut impl Write) -> io::Result<()> {
-        let mut stalls = 0u32;
-        loop {
-            match self.flush_once(w) {
-                Ok(true) => return Ok(()),
-                Ok(false) => {
-                    stalls += 1;
-                    if stalls > STALL_BUDGET {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "peer stalled draining replies",
-                        ));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
 }
 
-/// The frame loop for a *single* stream — the state machine of the
-/// multiplexed loop, run synchronously: same faults recorded, same
-/// replies, same close conditions, and a pipelined burst of N requests
-/// still costs ~one read and ~one write.
+/// One whole connection, in process: feed `input` to a connection state
+/// machine in [`SCRATCH`]-sized pieces (the sizes a socket read returns
+/// in the TCP loop), then signal EOF. Returns the reply bytes, in request
+/// order, and the number of requests served — the same faults recorded,
+/// the same replies and the same close conditions as a TCP connection
+/// that sent `input` and half-closed.
 ///
-/// Generic over the stream so the pipelining proptests and the chaos
-/// harness can drive it over simulated transports. A read timeout
-/// (`WouldBlock`/`TimedOut`) counts one tick against the idle deadline at
-/// a frame boundary and against the stall budget mid-frame. Returns the
-/// number of requests served.
-pub fn serve_stream<S: Read + Write>(stream: &mut S, service: &TrustService) -> u64 {
+/// The chaos harness and the pipelining proptests drive the server
+/// through this; no socket, no deadline.
+pub fn serve_bytes(input: &[u8], service: &TrustService) -> (Vec<u8>, u64) {
     let mut state = ConnState::new(0);
-    let mut scratch = [0u8; SCRATCH];
-    let mut idle = 0u32;
-    let mut stalls = 0u32;
-    while !state.closing {
-        match stream.read(&mut scratch) {
-            Ok(0) => {
-                state.on_eof(service);
-                break;
-            }
-            Ok(n) => {
-                idle = 0;
-                stalls = 0;
-                state.ingest(service, &scratch[..n]);
-                if state.flush_blocking(stream).is_err() {
-                    return state.served;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if wire::is_timeout(&e) => {
-                if state.at_boundary() {
-                    idle += 1;
-                    if idle > IDLE_TICKS {
-                        // An abandoned connection at a frame boundary:
-                        // a deadline, not a protocol fault.
-                        tangled_obs::registry::add("trustd.conn.idle_closed", 1);
-                        break;
-                    }
-                } else {
-                    stalls += 1;
-                    if stalls > STALL_BUDGET {
-                        state.on_stalled(service);
-                        break;
-                    }
-                }
-            }
-            Err(_) => break,
-        }
+    for piece in input.chunks(SCRATCH) {
+        state.ingest(service, piece);
     }
-    let _ = state.flush_blocking(stream);
-    state.served
+    state.on_eof(service);
+    (state.wbuf, state.served)
 }
 
 /// A running event-core trustd server: one accept thread plus a handful
@@ -568,9 +511,9 @@ fn event_loop(
             }
 
             if !close {
-                // Deadlines, readiness-loop style: wall-clock since the
-                // socket last produced bytes, scaled to the same budgets
-                // `serve_stream` counts in ticks.
+                // Deadlines: wall-clock since the socket last produced
+                // bytes. A dead stall mid-frame is classified like an EOF
+                // in the same position.
                 let quiet = conn.last_activity.elapsed();
                 if conn.state.at_boundary() && !conn.state.closing {
                     if quiet > idle_deadline {
@@ -579,7 +522,7 @@ fn event_loop(
                     }
                 } else if quiet > stall_deadline {
                     if !conn.state.closing {
-                        conn.state.on_stalled(service);
+                        conn.state.on_eof(service);
                         let _ = conn.state.flush_once(&mut conn.stream);
                     }
                     close = true;
@@ -635,43 +578,8 @@ fn finish_conn(conn: Conn, active: &Arc<AtomicUsize>) {
 mod tests {
     use super::*;
     use crate::client::TrustClient;
-    use std::collections::VecDeque;
-
-    /// In-memory duplex: reads from a preloaded inbox (then reports
-    /// `WouldBlock`), writes into an outbox.
-    struct SimStream {
-        inbox: VecDeque<u8>,
-        outbox: Vec<u8>,
-        eof_at_end: bool,
-    }
-
-    impl Read for SimStream {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.inbox.is_empty() {
-                return if self.eof_at_end {
-                    Ok(0)
-                } else {
-                    Err(io::Error::new(io::ErrorKind::WouldBlock, "tick"))
-                };
-            }
-            let n = buf.len().min(self.inbox.len());
-            for slot in buf.iter_mut().take(n) {
-                *slot = self.inbox.pop_front().expect("non-empty");
-            }
-            Ok(n)
-        }
-    }
-
-    impl Write for SimStream {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.outbox.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn replies(outbox: &[u8]) -> Vec<Response> {
         let mut r = std::io::Cursor::new(outbox);
@@ -685,23 +593,17 @@ mod tests {
     #[test]
     fn pipelined_frames_reply_in_request_order() {
         let service = TrustService::new(16);
-        let mut stream = SimStream {
-            inbox: VecDeque::new(),
-            outbox: Vec::new(),
-            eof_at_end: true,
-        };
         // Three frames written before any reply is read: a stats call, a
         // garbage body, another stats call.
         let mut burst = Vec::new();
         wire::write_frame(&mut burst, &Request::Stats.encode()).unwrap();
         wire::write_frame(&mut burst, b"this is not json").unwrap();
         wire::write_frame(&mut burst, &Request::Stats.encode()).unwrap();
-        stream.inbox.extend(burst);
 
-        let served = serve_stream(&mut stream, &service);
+        let (outbox, served) = serve_bytes(&burst, &service);
         assert_eq!(served, 2, "two decodable requests");
 
-        let got = replies(&stream.outbox);
+        let got = replies(&outbox);
         assert_eq!(got.len(), 3);
         assert!(matches!(got[0], Response::Stats(_)));
         assert_eq!(
@@ -718,11 +620,6 @@ mod tests {
     #[test]
     fn oversized_frame_mid_pipeline_resyncs() {
         let service = TrustService::new(16);
-        let mut stream = SimStream {
-            inbox: VecDeque::new(),
-            outbox: Vec::new(),
-            eof_at_end: true,
-        };
         let mut burst = Vec::new();
         wire::write_frame(&mut burst, &Request::Stats.encode()).unwrap();
         // Oversized frame, body present in full.
@@ -730,11 +627,10 @@ mod tests {
         burst.extend_from_slice(&(len as u32).to_be_bytes());
         burst.extend_from_slice(&vec![0x42u8; len]);
         wire::write_frame(&mut burst, &Request::Stats.encode()).unwrap();
-        stream.inbox.extend(burst);
 
-        serve_stream(&mut stream, &service);
+        let (outbox, _) = serve_bytes(&burst, &service);
 
-        let got = replies(&stream.outbox);
+        let got = replies(&outbox);
         assert_eq!(got.len(), 3);
         assert!(matches!(got[0], Response::Stats(_)));
         assert_eq!(
@@ -750,19 +646,14 @@ mod tests {
     #[test]
     fn eof_mid_frame_is_a_classified_truncation() {
         let service = TrustService::new(16);
-        let mut stream = SimStream {
-            inbox: VecDeque::new(),
-            outbox: Vec::new(),
-            eof_at_end: true,
-        };
         // Header promises 8 bytes; only 4 arrive before EOF.
-        stream.inbox.extend(8u32.to_be_bytes());
-        stream.inbox.extend(*b"1234");
+        let mut input = 8u32.to_be_bytes().to_vec();
+        input.extend_from_slice(b"1234");
 
-        let served = serve_stream(&mut stream, &service);
+        let (outbox, served) = serve_bytes(&input, &service);
         assert_eq!(served, 0);
         assert_eq!(
-            replies(&stream.outbox),
+            replies(&outbox),
             vec![Response::Error {
                 stage: "wire".into(),
                 error: "truncated-frame".into()
@@ -774,28 +665,125 @@ mod tests {
     #[test]
     fn eof_while_draining_oversized_body_records_one_fault() {
         let service = TrustService::new(16);
-        let mut stream = SimStream {
-            inbox: VecDeque::new(),
-            outbox: Vec::new(),
-            eof_at_end: true,
-        };
         // Oversized header, body cut short by EOF: the oversized reply
         // goes out and the stream closes with exactly one recorded
         // fault, not a second truncation fault.
-        stream
-            .inbox
-            .extend(((MAX_FRAME + 1) as u32).to_be_bytes());
-        stream.inbox.extend(vec![0x42u8; 100]);
+        let mut input = ((MAX_FRAME + 1) as u32).to_be_bytes().to_vec();
+        input.extend_from_slice(&[0x42u8; 100]);
 
-        serve_stream(&mut stream, &service);
+        let (outbox, _) = serve_bytes(&input, &service);
         assert_eq!(
-            replies(&stream.outbox),
+            replies(&outbox),
             vec![Response::Error {
                 stage: "wire".into(),
                 error: "oversized-frame".into()
             }]
         );
         assert_eq!(service.stats().quarantined_total(), 1);
+    }
+
+    /// A memo-less service: with capacity 0 no reply carries a `cached`
+    /// flag that depends on an earlier run, so two runs over the same
+    /// bytes must produce the same reply bytes.
+    fn memoless_service() -> &'static TrustService {
+        static SERVICE: OnceLock<TrustService> = OnceLock::new();
+        SERVICE.get_or_init(|| TrustService::new(0))
+    }
+
+    /// One Table 6 origin chain, a garbage chain and an empty one.
+    fn split_chains() -> &'static [Vec<Vec<u8>>] {
+        static CHAINS: OnceLock<Vec<Vec<Vec<u8>>>> = OnceLock::new();
+        CHAINS.get_or_init(|| {
+            let origin = tangled_intercept::origin::OriginServers::for_table6();
+            let mut targets: Vec<_> = origin.targets().collect();
+            targets.sort_by_key(|t| t.to_string());
+            let chain = origin
+                .chain(targets[0])
+                .expect("table 6 target has a chain");
+            vec![
+                chain.iter().map(|c| c.to_der().to_vec()).collect(),
+                vec![vec![0xde, 0xad]],
+                Vec::new(),
+            ]
+        })
+    }
+
+    /// One frame of a generated pipelined stream: a stateless request
+    /// (no `stats`, no `swap`), a garbage body, or an oversized frame.
+    fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
+        let chain = || (0..split_chains().len()).prop_map(|i| split_chains()[i].clone());
+        let request = prop_oneof![
+            chain().prop_map(|chain| Request::Validate {
+                profile: "AOSP 4.4".to_owned(),
+                chain,
+            }),
+            chain().prop_map(|chain| Request::Compare { chain }),
+            proptest::collection::vec(any::<u8>(), 0..32)
+                .prop_map(|cert| Request::Classify { cert }),
+        ];
+        prop_oneof![
+            6 => request.prop_map(|req| {
+                let mut frame = Vec::new();
+                wire::write_frame(&mut frame, &req.encode()).expect("bounded frame");
+                frame
+            }),
+            2 => proptest::collection::vec(any::<u8>(), 0..24).prop_map(|tail| {
+                let mut body = vec![0xffu8];
+                body.extend(tail);
+                let mut frame = Vec::new();
+                wire::write_frame(&mut frame, &body).expect("bounded frame");
+                frame
+            }),
+            1 => (1usize..4).prop_map(|extra| {
+                let len = MAX_FRAME + extra;
+                let mut frame = (len as u32).to_be_bytes().to_vec();
+                frame.resize(4 + len, 0);
+                frame
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// However the bytes of a pipelined stream are cut into reads,
+        /// the state machine answers with the same reply bytes and the
+        /// same served count as one `serve_bytes` call. Reads take their
+        /// sizes from `sizes` in turn, from single bytes up to several
+        /// scratch buffers, so cuts land anywhere: inside a header, a
+        /// body, or an oversized skip; the stream may end with a frame
+        /// cut short.
+        #[test]
+        fn replies_are_invariant_under_read_splits(
+            frames in proptest::collection::vec(arb_frame(), 1..6),
+            sizes in proptest::collection::vec(
+                prop_oneof![1usize..8, 8usize..4 * SCRATCH],
+                1..8,
+            ),
+            truncate in any::<bool>(),
+        ) {
+            let mut input: Vec<u8> = frames.concat();
+            if truncate {
+                input.pop();
+            }
+
+            let service = memoless_service();
+            let mut state = ConnState::new(0);
+            let mut rest = &input[..];
+            for &size in sizes.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (read, tail) = rest.split_at(size.min(rest.len()));
+                state.ingest(service, read);
+                rest = tail;
+            }
+            state.on_eof(service);
+
+            let (whole, served) = serve_bytes(&input, service);
+            prop_assert_eq!(state.served, served);
+            prop_assert!(state.wbuf == whole, "reply bytes depend on the read split");
+        }
     }
 
     #[test]

@@ -45,11 +45,11 @@ pub mod wire;
 
 pub use chaos::ChaosSpec;
 pub use client::{ClientError, TrustClient};
-pub use event::{serve_stream, EventServer, ServerConfig};
+pub use event::{serve_bytes, EventServer, ServerConfig};
 pub use index::StoreIndex;
 pub use replay::{
-    canonical, drive, offline_verdicts, queries_for, scale_for_sessions, verdict_fingerprint, Link,
-    ReplayOp, ReplayOutcome, ReplaySpec,
+    canonical, drive, offline_verdicts, scale_for_sessions, verdict_fingerprint, Link,
+    ReplayOutcome, ReplaySpec,
 };
 pub use resilient::{Connect, ResilientClient, ResilientError, RetryPolicy, TcpConnector};
 pub use service::{TrustService, DEFAULT_CACHE_CAPACITY};

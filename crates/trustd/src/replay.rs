@@ -1,11 +1,12 @@
 //! Deterministic load generation and the two drivers that run it.
 //!
 //! Every workload here is a plan: a `Vec<Request>` built from a seed.
-//! [`queries_for`] plans the Netalyzr mixes from a [`ReplaySpec`] —
-//! every session validates an origin chain against its device's AOSP
-//! profile, with classify/audit/probe requests interleaved on fixed
-//! session strides — and other engines (the interception scenarios)
-//! plan their own. A plan then runs through one of two drivers:
+//! [`queries`] plans the Netalyzr mix from a [`ReplaySpec`] — every
+//! session validates an origin chain against its device's AOSP profile,
+//! with classify/audit/probe requests interleaved on fixed session
+//! strides — [`compare_queries`] plans one `compare` per Notary chain,
+//! and other engines (the interception scenarios) plan their own. A plan
+//! then runs through one of two drivers:
 //!
 //! * [`offline_verdicts`] answers it with a local [`TrustService`], no
 //!   server involved, sharded over the ambient [`ExecPool`];
@@ -35,17 +36,6 @@ use tangled_pki::cacerts::to_cacerts_pem;
 /// The paper's full session count (scale 1.0).
 const FULL_SESSIONS: f64 = 15_970.0;
 
-/// Which request mix a replay drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayOp {
-    /// The classic per-session mix: validate, with classify/audit/probe
-    /// interleaved on fixed strides.
-    Mixed,
-    /// One `compare` request per chain of the study's Notary corpus, in
-    /// corpus order — the disparity engine's verdict vectors, served.
-    Compare,
-}
-
 /// What to replay.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplaySpec {
@@ -53,23 +43,12 @@ pub struct ReplaySpec {
     pub seed: u64,
     /// Number of sessions to replay.
     pub sessions: usize,
-    /// The request mix.
-    pub op: ReplayOp,
 }
 
 impl ReplaySpec {
-    /// A spec with the default seed and the mixed request mix.
+    /// A spec for `sessions` sessions of the population seeded by `seed`.
     pub fn new(seed: u64, sessions: usize) -> ReplaySpec {
-        ReplaySpec {
-            seed,
-            sessions,
-            op: ReplayOp::Mixed,
-        }
-    }
-
-    /// The same spec driving the `compare` mix.
-    pub fn with_op(self, op: ReplayOp) -> ReplaySpec {
-        ReplaySpec { op, ..self }
+        ReplaySpec { seed, sessions }
     }
 }
 
@@ -156,14 +135,6 @@ pub fn compare_queries(spec: &ReplaySpec) -> Vec<Request> {
             chain: cert.chain.iter().map(|c| c.to_der().to_vec()).collect(),
         })
         .collect()
-}
-
-/// The request sequence for a spec, honouring its [`ReplayOp`].
-pub fn queries_for(spec: &ReplaySpec) -> Vec<Request> {
-    match spec.op {
-        ReplayOp::Mixed => queries(&population(spec), spec),
-        ReplayOp::Compare => compare_queries(spec),
-    }
 }
 
 /// FNV-1a fingerprint over a verdict sequence (one canonical string per
@@ -420,17 +391,18 @@ mod tests {
 
     #[test]
     fn offline_verdicts_are_reproducible() {
-        let requests = queries_for(&ReplaySpec::new(7, 40));
+        let spec = ReplaySpec::new(7, 40);
+        let requests = queries(&population(&spec), &spec);
         assert_eq!(offline_verdicts(&requests), offline_verdicts(&requests));
     }
 
     #[test]
     fn compare_mix_covers_the_corpus_deterministically() {
-        let spec = ReplaySpec::new(2014, 60).with_op(ReplayOp::Compare);
-        let qs = queries_for(&spec);
+        let spec = ReplaySpec::new(2014, 60);
+        let qs = compare_queries(&spec);
         assert!(!qs.is_empty());
         assert!(qs.iter().all(|q| q.kind() == "compare"));
-        assert_eq!(qs, queries_for(&spec), "same spec, same queries");
+        assert_eq!(qs, compare_queries(&spec), "same spec, same queries");
 
         let offline = offline_verdicts(&qs);
         assert_eq!(offline.len(), qs.len());

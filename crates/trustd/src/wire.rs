@@ -11,6 +11,8 @@
 //! server records in its quarantine ledger — the PR-1 graceful-degradation
 //! vocabulary extended to the serving path.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -474,9 +476,7 @@ impl Request {
 
     /// Serialize to frame-body bytes.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_string(&self.to_value())
-            .expect("request serialization is infallible")
-            .into_bytes()
+        self.to_value().to_string().into_bytes()
     }
 
     /// Parse frame-body bytes.
@@ -796,9 +796,7 @@ impl Response {
 
     /// Serialize to frame-body bytes.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_string(&self.to_value())
-            .expect("response serialization is infallible")
-            .into_bytes()
+        self.to_value().to_string().into_bytes()
     }
 
     /// Parse frame-body bytes.
@@ -1045,9 +1043,9 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
     }
 
-    #[test]
-    fn request_json_round_trips() {
-        let reqs = vec![
+    /// The round-trip corpus of requests.
+    fn request_corpus() -> Vec<Request> {
+        vec![
             Request::Validate {
                 profile: "AOSP 4.4".into(),
                 chain: vec![vec![0x30, 0x03, 1, 2, 3], vec![0xff]],
@@ -1088,16 +1086,12 @@ mod tests {
                 chain: vec![vec![0x30, 0x03, 1, 2, 3], vec![0xab]],
             },
             Request::Stats,
-        ];
-        for req in reqs {
-            let back = Request::decode(&req.encode()).unwrap();
-            assert_eq!(back, req);
-        }
+        ]
     }
 
-    #[test]
-    fn response_json_round_trips() {
-        let resps = vec![
+    /// The round-trip corpus of responses.
+    fn response_corpus() -> Vec<Response> {
+        vec![
             Response::Validate {
                 verdict: ChainVerdict::Trusted {
                     anchor: "CN=Root".into(),
@@ -1158,10 +1152,36 @@ mod tests {
                 stage: "wire".into(),
                 error: "bad-json".into(),
             },
-        ];
-        for resp in resps {
+        ]
+    }
+
+    #[test]
+    fn request_json_round_trips() {
+        for req in request_corpus() {
+            let back = Request::decode(&req.encode()).unwrap();
+            assert_eq!(back, req);
+        }
+    }
+
+    #[test]
+    fn response_json_round_trips() {
+        for resp in response_corpus() {
             let back = Response::decode(&resp.encode()).unwrap();
             assert_eq!(back, resp);
+        }
+    }
+
+    /// `encode` writes exactly the bytes `serde_json::to_string` gives
+    /// for the message's JSON value.
+    #[test]
+    fn encode_matches_serde_json_bytes() {
+        for req in request_corpus() {
+            let json = serde_json::to_string(&req.to_value()).unwrap();
+            assert_eq!(req.encode(), json.into_bytes(), "{}", req.kind());
+        }
+        for resp in response_corpus() {
+            let json = serde_json::to_string(&resp.to_value()).unwrap();
+            assert_eq!(resp.encode(), json.into_bytes(), "{resp:?}");
         }
     }
 

@@ -13,11 +13,11 @@
 //! conservation invariant intact.
 
 use proptest::prelude::*;
-use std::io::{self, Read, Write};
+use std::io;
 use std::sync::OnceLock;
 use tangled_trustd::wire::{read_frame, write_frame, Request, Response, MAX_FRAME};
 use tangled_trustd::{
-    canonical, chaos, serve_stream, ChaosSpec, TrustService, DEFAULT_CACHE_CAPACITY,
+    canonical, chaos, serve_bytes, ChaosSpec, TrustService, DEFAULT_CACHE_CAPACITY,
 };
 
 /// One shared service: profile installs are the expensive part and the
@@ -25,37 +25,6 @@ use tangled_trustd::{
 fn service() -> &'static TrustService {
     static SERVICE: OnceLock<TrustService> = OnceLock::new();
     SERVICE.get_or_init(|| TrustService::new(DEFAULT_CACHE_CAPACITY))
-}
-
-/// In-memory duplex: the server reads the pipelined client bytes (EOF
-/// after = client half-closed at a frame boundary) and its replies
-/// collect in `output`.
-struct Duplex {
-    input: Vec<u8>,
-    pos: usize,
-    output: Vec<u8>,
-}
-
-impl Read for Duplex {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.pos >= self.input.len() {
-            return Ok(0);
-        }
-        let n = buf.len().min(self.input.len() - self.pos);
-        buf[..n].copy_from_slice(&self.input[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-impl Write for Duplex {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.output.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
 }
 
 /// One frame in the pipelined burst.
@@ -169,11 +138,11 @@ proptest! {
             .filter(|i| matches!(i, Item::Req(_)))
             .count() as u64;
 
-        let mut stream = Duplex { input, pos: 0, output: Vec::new() };
-        let served = serve_stream(&mut stream, service());
+        // The client half-closes at a frame boundary after the burst.
+        let (output, served) = serve_bytes(&input, service());
         prop_assert_eq!(served, valid, "served counts decoded requests only");
 
-        let mut cursor = io::Cursor::new(stream.output);
+        let mut cursor = io::Cursor::new(output);
         for (i, want) in expected.iter().enumerate() {
             let frame = read_frame(&mut cursor)
                 .expect("framing intact")

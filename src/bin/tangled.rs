@@ -18,11 +18,10 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
 use tangled_mass::analysis::{export, figures, survey, tables, Study};
-use tangled_mass::exec::{set_thread_override, thread_count};
+use tangled_mass::exec::{fixed_shard_count, set_thread_override, thread_count};
 use tangled_mass::faults::FaultPlan;
 use tangled_mass::intercept::study_time;
 use tangled_mass::netalyzr::{Population, PopulationSpec};
-use tangled_mass::notary::ValidationIndex;
 use tangled_mass::obs;
 use tangled_mass::pki::audit::audit;
 use tangled_mass::pki::cacerts::{from_cacerts, to_cacerts_pem, CacertsFile};
@@ -30,10 +29,10 @@ use tangled_mass::pki::stores::ReferenceStore;
 use tangled_mass::pki::trust::AnchorSource;
 use tangled_mass::scenario;
 use tangled_mass::snap::{load_study, write_study, Snapshot};
+use tangled_mass::trustd::replay::{compare_queries, population, queries};
 use tangled_mass::trustd::{
-    self, chaos, drive, offline_verdicts, queries_for, verdict_fingerprint, ChaosSpec,
-    EventServer, LatencyHistogram, Link, ReplayOp, ReplaySpec, Request, Response, TrustClient,
-    TrustService, DEFAULT_CACHE_CAPACITY,
+    self, chaos, drive, offline_verdicts, verdict_fingerprint, ChaosSpec, EventServer, Link,
+    ReplaySpec, Request, Response, TrustClient, TrustService, DEFAULT_CACHE_CAPACITY,
 };
 use tangled_mass::x509::{sig_memo_clear, sig_memo_counters, sig_memo_len};
 
@@ -659,11 +658,12 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     }
 }
 
-/// What `loadgen --op` plans: one of the trustd request mixes, or the
-/// interception scenario plan.
-#[derive(Clone, Copy)]
+/// What `loadgen --op` plans: the Netalyzr mix, one `compare` per
+/// Notary chain, or the interception scenario plan.
+#[derive(Clone, Copy, PartialEq)]
 enum LoadOp {
-    Replay(ReplayOp),
+    Mixed,
+    Compare,
     Mitm,
 }
 
@@ -672,8 +672,8 @@ impl FromStr for LoadOp {
 
     fn from_str(op: &str) -> Result<LoadOp, ()> {
         Ok(match op {
-            "mixed" => LoadOp::Replay(ReplayOp::Mixed),
-            "compare" => LoadOp::Replay(ReplayOp::Compare),
+            "mixed" => LoadOp::Mixed,
+            "compare" => LoadOp::Compare,
             "mitm" => LoadOp::Mitm,
             _ => return Err(()),
         })
@@ -682,7 +682,7 @@ impl FromStr for LoadOp {
 
 /// `loadgen --op`, defaulting to the mixed replay; the last `--op` wins.
 fn load_op(args: &Args) -> Result<LoadOp, CliError> {
-    args.get("--op", LoadOp::Replay(ReplayOp::Mixed), "mixed|compare|mitm", any)
+    args.get("--op", LoadOp::Mixed, "mixed|compare|mitm", any)
 }
 
 fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
@@ -716,11 +716,10 @@ fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
     };
 
     // --op only chooses the plan; everything after it is one path.
+    let replay = ReplaySpec::new(seed, sessions);
     let (requests, scenario_spec) = match op {
-        LoadOp::Replay(op) => (
-            queries_for(&ReplaySpec::new(seed, sessions).with_op(op)),
-            None,
-        ),
+        LoadOp::Mixed => (queries(&population(&replay), &replay), None),
+        LoadOp::Compare => (compare_queries(&replay), None),
         LoadOp::Mitm => {
             let spec = scenario::ScenarioSpec::for_sessions(sessions, seed);
             let plan = scenario::plan(&spec).map_err(|e| format!("scenario: {e}"))?;
@@ -795,9 +794,9 @@ fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
         LoadOp::Mitm => {
             println!("loadgen: probe_session replies match the offline scenario exactly")
         }
-        LoadOp::Replay(op) => {
+        LoadOp::Mixed | LoadOp::Compare => {
             println!("loadgen: verdicts match the offline study exactly");
-            if op == ReplayOp::Compare {
+            if op == LoadOp::Compare {
                 println!("loadgen: compare replies match the offline verdict vectors exactly")
             }
         }
@@ -946,12 +945,11 @@ fn cmd_stats(scale: f64) -> Result<(), CliError> {
     let plan = FaultPlan::new(404).with_rate(0.05);
     let study = Study::with_faults(scale, eco_scale, &plan);
 
-    // Re-build the index with per-shard latencies for the p50/p99 lines.
-    let (idx, latencies) = ValidationIndex::build_with_latencies(&study.ecosystem);
-    let hist = LatencyHistogram::default();
-    for &us in &latencies {
-        hist.record(us);
-    }
+    // The study's index build recorded one latency sample per shard; it
+    // shards by certificate count alone.
+    let idx = &study.validation;
+    let shard_us = obs::registry().hist("notary.validate.shard_us");
+    let shards = fixed_shard_count(study.ecosystem.certs.len());
 
     // Exercise the trustd serving path in-process: one classify over an
     // AOSP anchor, then the stats document — enough to populate the
@@ -1018,9 +1016,9 @@ fn cmd_stats(scale: f64) -> Result<(), CliError> {
     );
     println!(
         "stats: validation-index build: {} shards, shard latency p50 {} us / p99 {} us",
-        latencies.len(),
-        hist.percentile(50),
-        hist.percentile(99)
+        shards,
+        shard_us.percentile(50),
+        shard_us.percentile(99)
     );
     println!(
         "stats: validated {} of {} non-expired certificates",
@@ -1101,13 +1099,13 @@ mod tests {
     fn loadgen_op_last_flag_wins() {
         assert!(matches!(
             loadgen_op(&["--op", "mitm", "--op", "compare"]),
-            Ok(LoadOp::Replay(ReplayOp::Compare))
+            Ok(LoadOp::Compare)
         ));
         assert!(matches!(
             loadgen_op(&["--op", "compare", "--op", "mitm"]),
             Ok(LoadOp::Mitm)
         ));
-        assert!(matches!(loadgen_op(&[]), Ok(LoadOp::Replay(ReplayOp::Mixed))));
+        assert!(matches!(loadgen_op(&[]), Ok(LoadOp::Mixed)));
     }
 
     #[test]

@@ -8,10 +8,11 @@ use tangled_mass::analysis::Study;
 use tangled_mass::faults::chaos::WireFaultKind;
 use tangled_mass::scenario::{self, ScenarioSpec};
 use tangled_mass::snap::{write_study, SectionId, Snapshot};
+use tangled_mass::trustd::replay::{population, queries};
 use tangled_mass::trustd::{
-    chaos, drive, offline_verdicts, queries_for, start, verdict_fingerprint, ChaosSpec, Connect,
-    EventServer, Link, ReplaySpec, Request, ResilientClient, ResilientError, RetryPolicy,
-    ServerConfig, TcpConnector, TrustService, DEFAULT_CACHE_CAPACITY,
+    chaos, drive, offline_verdicts, start, verdict_fingerprint, ChaosSpec, Connect, EventServer,
+    Link, ReplaySpec, Request, ResilientClient, ResilientError, RetryPolicy, ServerConfig,
+    TcpConnector, TrustService, DEFAULT_CACHE_CAPACITY,
 };
 use tangled_mass::trustd::wire::{ChainVerdict, Response};
 
@@ -88,8 +89,9 @@ fn ci_chaos_spec_ledger_is_golden() {
 #[test]
 fn lossy_chaos_over_tcp_preserves_verdicts() {
     let mitm = ScenarioSpec::for_scale(0.02, 2014);
+    let mixed = ReplaySpec::new(2014, 40);
     let plans = [
-        queries_for(&ReplaySpec::new(2014, 40)),
+        queries(&population(&mixed), &mixed),
         scenario::plan(&mitm).expect("scenario plan"),
     ];
 

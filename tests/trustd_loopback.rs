@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tangled_mass::trustd::replay::{
-    canonical, drive, offline_verdicts, population, queries, queries_for, Link, ReplaySpec,
+    canonical, drive, offline_verdicts, population, queries, Link, ReplaySpec,
 };
 use tangled_mass::trustd::wire::{ChainVerdict, Request, Response};
 use tangled_mass::trustd::{EventServer, TrustClient, TrustService, DEFAULT_CACHE_CAPACITY};
@@ -16,7 +16,8 @@ use tangled_mass::trustd::{EventServer, TrustClient, TrustService, DEFAULT_CACHE
 /// actually hit, and no protocol errors may occur.
 #[test]
 fn replay_matches_offline_study_exactly() {
-    let requests = queries_for(&ReplaySpec::new(2014, 100));
+    let spec = ReplaySpec::new(2014, 100);
+    let requests = queries(&population(&spec), &spec);
     let expected = offline_verdicts(&requests);
     assert!(!expected.is_empty());
 

@@ -11,11 +11,11 @@ use tangled_mass::intercept::policy::Target;
 use tangled_mass::pki::stores::ReferenceStore;
 use tangled_mass::snap::container::assemble;
 use tangled_mass::snap::{read_checkpoint, write_study, Journal, SectionId, Snapshot};
-use tangled_mass::trustd::replay::canonical;
+use tangled_mass::trustd::replay::{canonical, compare_queries};
 use tangled_mass::trustd::wire::{Request, Response};
 use tangled_mass::trustd::{
-    drive, offline_verdicts, queries_for, start, verdict_fingerprint, EventServer, Link, ReplayOp,
-    ReplaySpec, Started, TrustService, DEFAULT_CACHE_CAPACITY,
+    drive, offline_verdicts, start, verdict_fingerprint, EventServer, Link, ReplaySpec, Started,
+    TrustService, DEFAULT_CACHE_CAPACITY,
 };
 
 /// A per-run unique scratch directory, removed on drop (even when the
@@ -292,8 +292,8 @@ fn compare_replies_match_offline_vectors_across_warm_and_degraded_starts() {
     let study = Study::new(0.05, 0.02);
     write_study(&study, &snap_path).expect("snapshot writes");
 
-    let spec = ReplaySpec::new(2014, 60).with_op(ReplayOp::Compare);
-    let requests = queries_for(&spec);
+    let spec = ReplaySpec::new(2014, 60);
+    let requests = compare_queries(&spec);
     let offline = offline_verdicts(&requests);
 
     // Live TCP replay against a cold server.
