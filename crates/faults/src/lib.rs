@@ -6,7 +6,7 @@
 //! therefore survive degraded input. This crate supplies the degradation:
 //! a seeded [`FaultPlan`] drives kind-addressable injectors over any
 //! ingest surface that implements [`Corruptor`] — Notary certificate
-//! ecosystems ([`tangled_notary`]'s raw form), Android `cacerts`
+//! ecosystems (`tangled_notary`'s raw form), Android `cacerts`
 //! directories ([`Vec<CacertsFile>`], implemented here), and, through the
 //! cacerts rendering, Netalyzr device stores.
 //!

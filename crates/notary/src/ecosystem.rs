@@ -251,7 +251,7 @@ impl Ecosystem {
     /// the spec's RNG stream in exactly the order the original single-pass
     /// loop did (session and service draws are the only RNG uses) and
     /// resolving every issuer through the CA factory; it emits one
-    /// [`LeafJob`] per certificate. Phase B — the RSA leaf-signing that
+    /// `LeafJob` per certificate. Phase B — the RSA leaf-signing that
     /// dominates wall time — is pure per-job work with no RNG and no shared
     /// state, so [`ExecPool::par_map_indexed`] signs the jobs in parallel
     /// and reassembles them in index order.

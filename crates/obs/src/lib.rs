@@ -4,7 +4,7 @@
 //! layer has two halves with deliberately different determinism
 //! contracts:
 //!
-//! * **The metrics [`registry`]** — process-wide counters, gauges and
+//! * **The metrics [`registry`](mod@registry)** — process-wide counters, gauges and
 //!   log₂ [`Log2Histogram`]s with cheap atomic recording. Metric *values*
 //!   may be nondeterministic (wall-clock latencies, memo hit rates, pool
 //!   widths); only the dump *format* is stable: [`Registry::dump_text`]

@@ -3,7 +3,7 @@
 //! Every line of a trace is one JSON object. Required shape:
 //!
 //! * `seq` — u64, strictly `0, 1, 2, …` in line order;
-//! * `kind` — one of [`EVENT_KINDS`](crate::trace::EVENT_KINDS);
+//! * `kind` — one of [`EVENT_KINDS`];
 //! * `stage` — non-empty string naming the emitting stage;
 //! * the first line is the `run_start` event and carries `seed` (u64);
 //! * `span_start`/`span_end`/`point`/`quarantine` carry `span`, 16

@@ -11,7 +11,7 @@
 //! * **Payloads are width-invariant.** Unit counts, seeds, quarantine
 //!   tallies. Anything timed or scheduling-dependent (latencies, memo
 //!   hit rates, thread counts) belongs in the metrics
-//!   [`registry`](crate::registry) instead.
+//!   [`registry`](mod@crate::registry) instead.
 //! * **Emission happens in sequential code.** Pipeline stages trace from
 //!   phase boundaries and index-ordered merge loops, never from inside
 //!   parallel closures, so event order is the sequential order.

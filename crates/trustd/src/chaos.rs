@@ -248,7 +248,6 @@ pub fn run(spec: &ChaosSpec) -> ChaosReport {
             };
             let stream = ChaosStream::with_ledger(conn, &plan, salt, Arc::clone(&ledger));
             let mut client = TrustClient::from_stream(stream);
-            client.set_response_ticks(50);
 
             let result = client.call(req);
             let faults = ledger.lock().expect("chaos ledger poisoned").clone();

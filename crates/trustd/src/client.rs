@@ -1,29 +1,29 @@
 //! A small blocking client for the trustd wire protocol.
 //!
-//! The client mirrors the server's deadline discipline: sockets carry a
-//! short read timeout ([`READ_TICK`]) and the reply wait is bounded by a
-//! *consecutive idle tick* budget ([`TrustClient::set_response_ticks`]) —
-//! the client-side twin of the server's `STALL_BUDGET`. A server that
-//! stalls mid-reply therefore surfaces as [`ClientError::TimedOut`]
-//! instead of hanging the caller forever. Any received byte resets the
-//! budget, so a slow-but-live server is never misclassified.
+//! One deadline per direction. Reads: sockets carry a short read
+//! timeout (the wire's `READ_TICK`), and the wait for a reply is bounded
+//! by `STALL_BUDGET` consecutive idle ticks, the same budget a frame
+//! read tolerates mid-frame. A server that goes silent therefore
+//! surfaces as [`ClientError::TimedOut`] instead of hanging the caller
+//! forever; any received byte resets the budget, so a slow-but-live
+//! server is never misclassified. Writes: the socket's own
+//! `WRITE_BUDGET` write timeout bounds each frame write, so a server
+//! that stops draining fails the call as [`ClientError::Io`].
 //!
 //! The client is generic over its stream so the chaos harness can run it
 //! over simulated and fault-injecting transports; the `TcpStream` impl
 //! adds the connect helpers.
 
-use crate::wire::{self, FrameError, Request, Response, WireError, READ_TICK};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::wire::{self, FrameError, Request, Response, WireError, READ_TICK, STALL_BUDGET};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// Write timeout for TCP sockets: a peer that stops draining cannot
-/// block the caller in `write` indefinitely.
+/// block the caller in `write` for longer than this.
 const WRITE_BUDGET: Duration = Duration::from_secs(5);
-
-/// Default reply budget in consecutive idle ticks (~10 s at
-/// [`READ_TICK`]) — matches the server's stall budget.
-const DEFAULT_RESPONSE_TICKS: u32 = 200;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -63,11 +63,10 @@ impl From<FrameError> for ClientError {
 /// One connection to a trustd server.
 pub struct TrustClient<S = TcpStream> {
     stream: S,
-    response_ticks: u32,
 }
 
 /// Open a TCP socket with the client deadline discipline: no-delay, a
-/// [`READ_TICK`] read timeout and a [`WRITE_BUDGET`] write timeout. Every
+/// `READ_TICK` read timeout and a `WRITE_BUDGET` write timeout. Every
 /// client-side socket — plain or under a chaos wrapper — is opened here.
 pub(crate) fn dial(addr: impl ToSocketAddrs) -> io::Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
@@ -78,7 +77,7 @@ pub(crate) fn dial(addr: impl ToSocketAddrs) -> io::Result<TcpStream> {
 }
 
 impl TrustClient<TcpStream> {
-    /// Connect once, over a [`dial`]led socket.
+    /// Connect once, over a socket with the client deadlines.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TrustClient> {
         Ok(TrustClient::from_stream(dial(addr)?))
     }
@@ -105,16 +104,7 @@ impl<S: Read + Write> TrustClient<S> {
     /// wrappers). The stream should report idle waits as
     /// `WouldBlock`/`TimedOut` for the reply deadline to be meaningful.
     pub fn from_stream(stream: S) -> TrustClient<S> {
-        TrustClient {
-            stream,
-            response_ticks: DEFAULT_RESPONSE_TICKS,
-        }
-    }
-
-    /// Override the reply budget (consecutive idle ticks with no reply
-    /// byte). Tests use small values to fail fast.
-    pub fn set_response_ticks(&mut self, ticks: u32) {
-        self.response_ticks = ticks.max(1);
+        TrustClient { stream }
     }
 
     /// Send a request, wait for the reply.
@@ -125,9 +115,8 @@ impl<S: Read + Write> TrustClient<S> {
     /// Send raw frame bytes (protocol-fault tests), wait for the reply.
     ///
     /// The wait is bounded: `read_frame` internally tolerates idle ticks
-    /// *mid-frame* (stall budget), while ticks at the reply boundary —
-    /// nothing received yet — surface here and are counted against
-    /// [`TrustClient::set_response_ticks`].
+    /// *mid-frame*, while ticks at the reply boundary — nothing received
+    /// yet — surface here; both are counted against `STALL_BUDGET`.
     pub fn call_raw(&mut self, body: &[u8]) -> Result<Response, ClientError> {
         wire::write_frame(&mut self.stream, body).map_err(ClientError::Io)?;
         self.read_reply()
@@ -161,7 +150,8 @@ impl<S: Read + Write> TrustClient<S> {
         Ok(replies)
     }
 
-    /// Wait for one reply frame under the consecutive-idle-tick budget.
+    /// Wait for one reply frame under `STALL_BUDGET` consecutive idle
+    /// ticks.
     fn read_reply(&mut self) -> Result<Response, ClientError> {
         let mut idle = 0u32;
         loop {
@@ -172,7 +162,7 @@ impl<S: Read + Write> TrustClient<S> {
                 Ok(None) => return Err(ClientError::Closed),
                 Err(FrameError::Io(e)) if wire::is_timeout(&e) => {
                     idle += 1;
-                    if idle > self.response_ticks {
+                    if idle > STALL_BUDGET {
                         return Err(ClientError::TimedOut);
                     }
                 }
@@ -207,8 +197,8 @@ mod tests {
 
     #[test]
     fn stalled_server_times_out_instead_of_hanging() {
+        // The mock ticks without sleeping, so the full budget is instant.
         let mut client = TrustClient::from_stream(SilentServer);
-        client.set_response_ticks(3);
         match client.call(&Request::Stats) {
             Err(ClientError::TimedOut) => {}
             other => panic!("expected TimedOut, got {other:?}"),
@@ -256,16 +246,13 @@ mod tests {
             pos: 0,
             ticks_before_reply: 5,
         });
-        client.set_response_ticks(10);
         assert_eq!(client.call(&Request::Stats).unwrap(), Response::Busy);
     }
 
-    /// Accepts request bytes one at a time with a `WouldBlock` between
-    /// every byte — a peer whose receive window keeps filling — then
-    /// replies once the full request arrived.
+    /// Accepts request bytes one at a time — a peer whose receive window
+    /// holds a single byte — and serves a canned reply stream.
     struct TricklingServer {
         received: Vec<u8>,
-        stall_next: bool,
         reply: Vec<u8>,
         pos: usize,
     }
@@ -284,13 +271,13 @@ mod tests {
 
     impl Write for TricklingServer {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if self.stall_next {
-                self.stall_next = false;
-                return Err(io::Error::new(io::ErrorKind::WouldBlock, "tick"));
+            match buf.first() {
+                Some(&b) => {
+                    self.received.push(b);
+                    Ok(1)
+                }
+                None => Ok(0),
             }
-            self.stall_next = true;
-            self.received.push(buf[0]);
-            Ok(1)
         }
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
@@ -300,11 +287,9 @@ mod tests {
     #[test]
     fn pipelined_burst_survives_short_writes() {
         // A pipelined burst is far larger than one write window: every
-        // byte trips a short write. The budgeted write path (the client
-        // twin of the read stall budget) must still deliver the whole
-        // burst; the old `write_all` would error on the first WouldBlock.
-        // `busy` would short-circuit the pipelined read loop by design,
-        // so the mock replies with classified errors instead.
+        // write is short. The frame writer must still deliver the whole
+        // burst. `busy` would short-circuit the pipelined read loop by
+        // design, so the mock replies with classified errors instead.
         let canned = Response::Error {
             stage: "wire".to_owned(),
             error: "bad-json".to_owned(),
@@ -315,11 +300,9 @@ mod tests {
         }
         let mut client = TrustClient::from_stream(TricklingServer {
             received: Vec::new(),
-            stall_next: false,
             reply,
             pos: 0,
         });
-        client.set_response_ticks(5);
         let reqs: Vec<Request> = (0..4).map(|_| Request::Stats).collect();
         let replies = client.pipeline(&reqs).expect("burst delivered");
         assert_eq!(replies.len(), 4);

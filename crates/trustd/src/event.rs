@@ -268,7 +268,7 @@ impl ConnState {
 }
 
 /// One whole connection, in process: feed `input` to a connection state
-/// machine in [`SCRATCH`]-sized pieces (the sizes a socket read returns
+/// machine in `SCRATCH`-sized pieces (the sizes a socket read returns
 /// in the TCP loop), then signal EOF. Returns the reply bytes, in request
 /// order, and the number of requests served — the same faults recorded,
 /// the same replies and the same close conditions as a TCP connection
@@ -453,7 +453,6 @@ fn event_loop(
                     let id = CONN_SEQ.fetch_add(1, Ordering::Relaxed);
                     let span = tangled_obs::trace::span_start("trustd.conn", 0, id, &[]);
                     tangled_obs::registry::gauge_add("trustd.conn.active", 1);
-                    tangled_obs::registry::gauge_add("trustd.event.connections", 1);
                     conns.push(Conn {
                         stream,
                         state: ConnState::new(span),
@@ -566,7 +565,6 @@ fn record_wire_trace(span: u64, e: &WireError) {
 fn finish_conn(conn: Conn, active: &Arc<AtomicUsize>) {
     active.fetch_sub(1, Ordering::SeqCst);
     tangled_obs::registry::gauge_add("trustd.conn.active", -1);
-    tangled_obs::registry::gauge_add("trustd.event.connections", -1);
     tangled_obs::trace::span_end(
         "trustd.conn",
         conn.state.span,

@@ -216,11 +216,6 @@ impl StoreIndex {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Number of membership shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_for(&self, id: &CertIdentity) -> &RwLock<HashMap<CertIdentity, Vec<String>>> {
         let mut hasher = DefaultHasher::new();
         id.hash(&mut hasher);
@@ -369,6 +364,5 @@ mod tests {
         let a = index.shard_for(id) as *const _;
         let b = index.shard_for(id) as *const _;
         assert_eq!(a, b, "same identity always maps to the same shard");
-        assert_eq!(index.shard_count(), 8);
     }
 }

@@ -1,5 +1,5 @@
 //! A retrying client wrapper: bounded attempts, deterministic seeded
-//! backoff, and idempotency-aware recovery.
+//! backoff, and one retry rule.
 //!
 //! [`ResilientClient`] wraps the plain [`TrustClient`] with the retry
 //! discipline the chaos tests demand:
@@ -9,16 +9,16 @@
 //!   times, sleeping an exponentially growing, jittered delay between
 //!   attempts. The jitter is drawn from a seeded RNG, so a simulated run
 //!   retries at exactly the same points every time.
-//! * **Idempotency rules.** Pure queries (`validate`, `classify`,
-//!   `audit`, `probe`, `stats`) are blindly retryable — running one twice
-//!   is indistinguishable from once. `swap` is not: an ambiguous
-//!   transport failure leaves "did it land?" unknown, so instead of
-//!   re-sending, [`ResilientClient::swap`] re-reads the profile's epoch
-//!   from the server's stats document (PR 5 made every install bump it)
-//!   and treats an advanced epoch as proof the swap applied.
+//! * **Idempotent requests only.** Pure queries (`validate`, `classify`,
+//!   `audit`, `probe`, `probe_session`, `compare`, `stats`) are blindly
+//!   retryable — running one twice is indistinguishable from once. A
+//!   `swap` is not, so it is refused with [`ResilientError::NotIdempotent`]
+//!   before anything is sent; swaps go through a plain [`TrustClient`].
 //! * **Classified exhaustion.** When retries run out the caller gets a
 //!   [`ResilientError`] naming the terminal fault — shed, or a transport
 //!   label — never a bare hang.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::client::{ClientError, TrustClient};
 use crate::wire::{Request, Response};
@@ -27,7 +27,6 @@ use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
-use tangled_obs::registry as metrics;
 
 /// Retry schedule: attempt budget plus seeded exponential backoff.
 #[derive(Debug, Clone)]
@@ -132,6 +131,13 @@ pub enum ResilientError {
         /// Attempts made.
         attempts: u32,
     },
+    /// The request is not idempotent (`swap`), so it was refused before
+    /// anything was sent: a retry after an ambiguous failure could apply
+    /// it twice.
+    NotIdempotent {
+        /// The refused request's kind.
+        kind: &'static str,
+    },
 }
 
 impl std::fmt::Display for ResilientError {
@@ -143,28 +149,16 @@ impl std::fmt::Display for ResilientError {
             ResilientError::Exhausted { label, attempts } => {
                 write!(f, "gave up after {attempts} attempts: {label}")
             }
+            ResilientError::NotIdempotent { kind } => {
+                write!(f, "refused a non-idempotent {kind} request")
+            }
         }
     }
 }
 
 impl std::error::Error for ResilientError {}
 
-/// Outcome of a resilient `swap`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwapOutcome {
-    /// The profile installed.
-    pub profile: String,
-    /// Its epoch after the swap.
-    pub epoch: u64,
-    /// Anchor count, when the server's reply was observed directly
-    /// (`None` after an epoch re-sync — the reply was lost in transit).
-    pub anchors: Option<usize>,
-    /// True when the install was confirmed by epoch re-sync rather than
-    /// by the swap reply itself.
-    pub resynced: bool,
-}
-
-/// A [`TrustClient`] with retries, backoff and idempotency rules.
+/// A [`TrustClient`] with retries and backoff, for idempotent requests.
 pub struct ResilientClient<C: Connect> {
     connector: C,
     policy: RetryPolicy,
@@ -172,7 +166,6 @@ pub struct ResilientClient<C: Connect> {
     conn: Option<TrustClient<C::Stream>>,
     retries: u64,
     busy: u64,
-    resyncs: u64,
     reconnects: u64,
 }
 
@@ -187,7 +180,6 @@ impl<C: Connect> ResilientClient<C> {
             conn: None,
             retries: 0,
             busy: 0,
-            resyncs: 0,
             reconnects: 0,
         }
     }
@@ -202,64 +194,57 @@ impl<C: Connect> ResilientClient<C> {
         self.busy
     }
 
-    /// Swaps confirmed by epoch re-sync.
-    pub fn resyncs(&self) -> u64 {
-        self.resyncs
-    }
-
     /// Connections opened.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
     }
 
-    /// Issue one request with the full retry discipline. `swap` requests
-    /// are routed through [`ResilientClient::swap`] (epoch re-sync, never
-    /// a blind retry); everything else retries directly.
+    /// Issue one idempotent request with the full retry discipline:
+    /// [`ResilientClient::call_pipelined`] of one request.
     pub fn call(&mut self, req: &Request) -> Result<Response, ResilientError> {
-        if let Request::Swap { profile, snapshot } = req {
-            let outcome = self.swap(profile, snapshot)?;
-            return Ok(Response::Swap {
-                profile: outcome.profile,
-                epoch: outcome.epoch,
-                anchors: outcome.anchors.unwrap_or(0),
-            });
-        }
-        let mut replies = self.call_pipelined(std::slice::from_ref(req))?;
-        Ok(replies.pop().expect("one reply per request"))
+        // `call_pipelined` answers every request it sends, so an empty
+        // reply vector would be a broken protocol.
+        self.call_pipelined(std::slice::from_ref(req))?
+            .pop()
+            .ok_or(ResilientError::Exhausted {
+                label: "protocol",
+                attempts: 1,
+            })
     }
 
     /// Issue an idempotent request chunk as one pipelined burst, with the
-    /// full retry discipline applied to the *chunk*: every request in it
-    /// must be idempotent (a transport fault mid-burst leaves unknown
-    /// which requests executed, so the whole chunk is re-sent — harmless
-    /// for pure reads, which is why `swap` is excluded). An admission
-    /// shed (`busy`) likewise retries the whole chunk on a fresh
-    /// connection. Replies come back in request order.
+    /// full retry discipline applied to the *chunk*: a transport fault
+    /// mid-burst leaves unknown which requests executed, so the whole
+    /// chunk is re-sent — harmless for pure reads. A chunk holding a
+    /// non-idempotent request is refused before anything is sent. An
+    /// admission shed (`busy`) likewise retries the whole chunk on a
+    /// fresh connection. Replies come back in request order.
     pub fn call_pipelined(&mut self, reqs: &[Request]) -> Result<Vec<Response>, ResilientError> {
+        if let Some(req) = reqs.iter().find(|r| !r.is_idempotent()) {
+            return Err(ResilientError::NotIdempotent { kind: req.kind() });
+        }
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        debug_assert!(reqs.iter().all(Request::is_idempotent));
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            match self.try_burst(reqs) {
+            let failure = match self.try_burst(reqs) {
                 Ok(Some(replies)) => return Ok(replies),
-                Ok(None) => {
-                    if attempt >= self.policy.max_attempts {
-                        return Err(ResilientError::Shed { attempts: attempt });
-                    }
-                }
-                Err(label) => {
-                    if attempt >= self.policy.max_attempts {
-                        return Err(ResilientError::Exhausted {
-                            label,
-                            attempts: attempt,
-                        });
-                    }
-                }
+                Ok(None) => ResilientError::Shed { attempts: attempt },
+                Err(label) => ResilientError::Exhausted {
+                    label,
+                    attempts: attempt,
+                },
+            };
+            if attempt >= self.policy.max_attempts {
+                return Err(failure);
             }
-            self.note_retry(attempt);
+            self.retries += 1;
+            let delay = self.policy.delay(attempt, &mut self.rng);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
         }
     }
 
@@ -268,20 +253,17 @@ impl<C: Connect> ResilientClient<C> {
     /// with `busy`); a shed or any failure tears the connection down so
     /// the next attempt starts fresh.
     fn try_burst(&mut self, reqs: &[Request]) -> Result<Option<Vec<Response>>, &'static str> {
-        if self.conn.is_none() {
-            match self.connector.connect() {
-                Ok(client) => {
-                    self.reconnects += 1;
-                    self.conn = Some(client);
-                }
-                Err(_) => return Err("connect-failed"),
+        let client = match &mut self.conn {
+            Some(client) => client,
+            None => {
+                let client = self.connector.connect().map_err(|_| "connect-failed")?;
+                self.reconnects += 1;
+                self.conn.insert(client)
             }
-        }
-        let client = self.conn.as_mut().expect("connection just ensured");
+        };
         match client.pipeline(reqs) {
             Ok(replies) if replies.last().is_some_and(|r| matches!(r, Response::Busy)) => {
                 self.busy += 1;
-                metrics::add("trustd.client.busy", 1);
                 self.conn = None;
                 Ok(None)
             }
@@ -296,105 +278,6 @@ impl<C: Connect> ResilientClient<C> {
                 self.conn = None;
                 Err(classify(&e))
             }
-        }
-    }
-
-    /// Install a store profile without ever blind-retrying the mutation.
-    ///
-    /// Before each attempt the profile's current epoch is read from the
-    /// server's stats document. If the attempt then fails ambiguously
-    /// (transport error after the request may have been sent), the epoch
-    /// is re-read: an advance proves the swap landed — the outcome is
-    /// reported as `resynced` instead of re-sending. Only a provably
-    /// un-applied swap (epoch unchanged) is attempted again.
-    pub fn swap(
-        &mut self,
-        profile: &str,
-        snapshot: &tangled_pki::store::StoreSnapshot,
-    ) -> Result<SwapOutcome, ResilientError> {
-        let req = Request::Swap {
-            profile: profile.to_owned(),
-            snapshot: snapshot.clone(),
-        };
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let before = self.profile_epoch(profile)?;
-            match self.try_burst(std::slice::from_ref(&req)) {
-                Ok(Some(replies)) => {
-                    // The server answered. Anything but a swap reply is a
-                    // classified rejection (`error` reply) or a mismatched
-                    // response type: the swap did not apply — a terminal
-                    // fault, never retried.
-                    return match replies.into_iter().next() {
-                        Some(Response::Swap {
-                            profile,
-                            epoch,
-                            anchors,
-                        }) => Ok(SwapOutcome {
-                            profile,
-                            epoch,
-                            anchors: Some(anchors),
-                            resynced: false,
-                        }),
-                        _ => Err(ResilientError::Exhausted {
-                            label: "rejected",
-                            attempts: attempt,
-                        }),
-                    };
-                }
-                Ok(None) => {
-                    // Shed at admission: the request was never read, so
-                    // retrying is safe.
-                    if attempt >= self.policy.max_attempts {
-                        return Err(ResilientError::Shed { attempts: attempt });
-                    }
-                }
-                Err(_label) => {
-                    // Ambiguous: the swap may or may not have landed.
-                    // Re-sync on the epoch instead of re-sending.
-                    let after = self.profile_epoch(profile)?;
-                    if after > before {
-                        self.resyncs += 1;
-                        metrics::add("trustd.client.resyncs", 1);
-                        return Ok(SwapOutcome {
-                            profile: profile.to_owned(),
-                            epoch: after,
-                            anchors: None,
-                            resynced: true,
-                        });
-                    }
-                    // Provably not applied: safe to try again.
-                    if attempt >= self.policy.max_attempts {
-                        return Err(ResilientError::Exhausted {
-                            label: "swap-unconfirmed",
-                            attempts: attempt,
-                        });
-                    }
-                }
-            }
-            self.note_retry(attempt);
-        }
-    }
-
-    /// The server's current epoch for `profile` (0 when unknown), via an
-    /// idempotent — and therefore itself retried — stats call.
-    fn profile_epoch(&mut self, profile: &str) -> Result<u64, ResilientError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(doc) => {
-                Ok(doc["index"]["profiles"][profile].as_u64().unwrap_or(0))
-            }
-            _ => Ok(0),
-        }
-    }
-
-    /// Count a retry and sleep the seeded backoff.
-    fn note_retry(&mut self, attempt: u32) {
-        self.retries += 1;
-        metrics::add("trustd.client.retries", 1);
-        let delay = self.policy.delay(attempt, &mut self.rng);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
         }
     }
 }
@@ -467,12 +350,6 @@ mod tests {
             wire::write_frame(&mut out, &r.encode()).unwrap();
         }
         out
-    }
-
-    fn stats_with_epoch(profile: &str, epoch: u64) -> Response {
-        Response::Stats(json!({
-            "index": { "profiles": { profile: epoch } },
-        }))
     }
 
     #[test]
@@ -564,59 +441,30 @@ mod tests {
     }
 
     #[test]
-    fn ambiguous_swap_resyncs_via_epoch_not_blind_retry() {
+    fn swap_is_refused_before_anything_is_sent() {
         use tangled_pki::store::RootStore;
-        let profile = "AOSP 4.4";
-        // Connection 1 answers the pre-swap stats probe (epoch 6), then
-        // closes before replying to the swap itself — the ambiguous case.
-        // Connection 2 answers the post-failure stats probe with epoch 7:
-        // the swap landed. No third connection exists, so a blind re-send
-        // of the swap would fail the test.
+        // The connection would answer both a stats read and the swap, so
+        // only a refusal made before dialling leaves it unopened.
         let connector = ScriptConnector {
-            scripts: VecDeque::from(vec![
-                framed(&[stats_with_epoch(profile, 6)]),
-                framed(&[stats_with_epoch(profile, 7)]),
-            ]),
+            scripts: VecDeque::from(vec![framed(&[
+                Response::Stats(json!({})),
+                Response::Swap {
+                    profile: "AOSP 4.4".into(),
+                    epoch: 11,
+                    anchors: 0,
+                },
+            ])]),
         };
         let mut client = ResilientClient::new(connector, RetryPolicy::immediate(7));
-        let outcome = client
-            .swap(profile, &RootStore::new("x").snapshot())
-            .expect("resynced");
-        assert!(outcome.resynced);
-        assert_eq!(outcome.epoch, 7);
-        assert_eq!(outcome.anchors, None);
-        assert_eq!(client.resyncs(), 1);
-    }
-
-    #[test]
-    fn unapplied_swap_is_retried_then_confirmed() {
-        use tangled_pki::store::RootStore;
-        let profile = "AOSP 4.4";
-        // Conn 1: pre-swap stats (epoch 6), then closes (swap lost).
-        // Conn 2: post-failure stats still 6 — provably not applied.
-        // Conn 3: second attempt's pre-swap stats (6) and the swap reply.
-        let connector = ScriptConnector {
-            scripts: VecDeque::from(vec![
-                framed(&[stats_with_epoch(profile, 6)]),
-                framed(&[stats_with_epoch(profile, 6)]),
-                framed(&[
-                    stats_with_epoch(profile, 6),
-                    Response::Swap {
-                        profile: profile.into(),
-                        epoch: 7,
-                        anchors: 0,
-                    },
-                ]),
-            ]),
+        let swap = Request::Swap {
+            profile: "AOSP 4.4".into(),
+            snapshot: RootStore::new("x").snapshot(),
         };
-        let mut client = ResilientClient::new(connector, RetryPolicy::immediate(7));
-        let outcome = client
-            .swap(profile, &RootStore::new("x").snapshot())
-            .expect("second attempt succeeds");
-        assert!(!outcome.resynced);
-        assert_eq!(outcome.epoch, 7);
-        assert_eq!(outcome.anchors, Some(0));
-        assert_eq!(client.resyncs(), 0);
+        let refused = ResilientError::NotIdempotent { kind: "swap" };
+        assert_eq!(client.call(&swap), Err(refused.clone()));
+        assert_eq!(client.call_pipelined(&[Request::Stats, swap]), Err(refused));
+        assert_eq!(client.reconnects(), 0);
+        assert_eq!(client.retries(), 0);
     }
 
     #[test]

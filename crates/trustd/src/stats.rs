@@ -108,11 +108,6 @@ impl ServiceStats {
         metrics::add("trustd.warm.degraded", 1);
     }
 
-    /// Is the service running degraded (any warm-start quarantine)?
-    pub fn is_degraded(&self) -> bool {
-        !self.inner.lock().expect("stats poisoned").degraded.is_empty()
-    }
-
     /// Total requests served (all kinds).
     pub fn served_total(&self) -> u64 {
         self.inner
@@ -278,9 +273,7 @@ mod tests {
     #[test]
     fn degraded_warm_start_is_surfaced() {
         let s = ServiceStats::new();
-        assert!(!s.is_degraded());
         s.record_degraded("ecosystem", "checksum-mismatch");
-        assert!(s.is_degraded());
         let v = s.to_json();
         assert_eq!(v["warm"]["degraded"], true);
         assert_eq!(v["warm"]["quarantined"][0]["section"], "ecosystem");

@@ -6,6 +6,10 @@
 //! (the same alphabet as PEM bodies), store snapshots reuse the
 //! [`StoreSnapshot`] JSON schema of `tangled-pki`.
 //!
+//! [`read_frame`] waits out read-timeout ticks mid-frame under
+//! `STALL_BUDGET`; [`write_frame`] is plain `write_all`s, so the
+//! writer's socket write timeout is its one write deadline.
+//!
 //! Malformed input is a *classified* failure, not a dropped connection:
 //! every decode error carries a stable [`WireError::label`] that the
 //! server records in its quarantine ledger — the PR-1 graceful-degradation
@@ -101,11 +105,11 @@ pub fn is_timeout(e: &io::Error) -> bool {
 /// deadlines are counted, on both ends of a connection.
 pub(crate) const READ_TICK: Duration = Duration::from_millis(50);
 
-/// How many *consecutive* idle timeout ticks a mid-frame read tolerates
-/// before the peer is declared dead. 200 ticks ≈ ten seconds at
-/// [`READ_TICK`] — a stalled peer cannot pin a connection forever, but
-/// any progress resets the clock, so a slow-but-live peer is never
-/// misclassified as truncated.
+/// How many *consecutive* idle timeout ticks a read tolerates before the
+/// peer is declared dead: mid-frame on either end, and before a reply's
+/// first byte in the client. 200 ticks ≈ ten seconds at [`READ_TICK`] — a
+/// stalled peer cannot pin a connection forever, but any progress resets
+/// the clock, so a slow-but-live peer is never misclassified.
 pub(crate) const STALL_BUDGET: u32 = 200;
 
 /// Fill `buf` completely. `Ok(false)` means clean EOF before the first
@@ -166,47 +170,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     Ok(Some(body))
 }
 
-/// Write `buf` completely, tolerating short writes on a nonblocking (or
-/// write-timeout) peer: a `WouldBlock`/`TimedOut` counts as one stall,
-/// bounded by the same *consecutive* [`STALL_BUDGET`] as the read path —
-/// any written byte resets the clock, so a slow-but-draining peer is
-/// never abandoned, while a peer that stops draining entirely cannot
-/// block the writer forever.
-fn write_full(w: &mut impl Write, buf: &[u8]) -> io::Result<()> {
-    let mut written = 0usize;
-    let mut stalls = 0u32;
-    while written < buf.len() {
-        match w.write(&buf[written..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "peer accepts no more bytes",
-                ))
-            }
-            Ok(n) => {
-                written += n;
-                stalls = 0;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(&e) => {
-                stalls += 1;
-                if stalls > STALL_BUDGET {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "peer stalled mid-frame write",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Write one frame. Partial writes are retried under the consecutive
-/// stall budget (see [`write_full`]) — the write-side twin of the read
-/// deadline, so a large pipelined burst against a slow-draining peer
-/// completes instead of failing on the first short write.
+/// Write one frame with `write_all`: short writes are continued, and a
+/// write that times out fails the frame at once, so the socket's write
+/// timeout is the whole write deadline.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -214,8 +180,8 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    write_full(w, &(body.len() as u32).to_be_bytes())?;
-    write_full(w, body)?;
+    w.write_all(&(body.len() as u32).to_be_bytes())?;
+    w.write_all(body)?;
     w.flush()
 }
 
@@ -313,13 +279,12 @@ impl Request {
 
     /// May this request be blindly retried after a transport failure?
     ///
-    /// Queries (`validate`, `classify`, `audit`, `probe`,
+    /// Queries (`validate`, `compare`, `classify`, `audit`, `probe`,
     /// `probe_session`, `stats`) are pure reads: executing one twice is
     /// indistinguishable from once.
     /// `swap` mutates the index and bumps the profile epoch, so a retry
-    /// after an ambiguous failure could double-install; resilient callers
-    /// must re-sync via the profile's epoch instead (see
-    /// `resilient::ResilientClient`).
+    /// after an ambiguous failure could double-install; the retrying
+    /// client (`resilient::ResilientClient`) refuses it.
     pub fn is_idempotent(&self) -> bool {
         !matches!(self, Request::Swap { .. })
     }
@@ -972,24 +937,21 @@ mod tests {
         ));
     }
 
-    /// Accepts one byte per call, reporting `WouldBlock` between every
-    /// byte — the write-side twin of [`TricklingReader`]. Total stalls far
-    /// exceed [`STALL_BUDGET`], but never two in a row, so a correct
-    /// consecutive-stall budget never fires.
+    /// Accepts one byte per call — a peer whose receive window holds a
+    /// single byte.
     struct TricklingWriter {
         data: Vec<u8>,
-        stall_next: bool,
     }
 
     impl Write for TricklingWriter {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if self.stall_next {
-                self.stall_next = false;
-                return Err(io::Error::new(io::ErrorKind::WouldBlock, "tick"));
+            match buf.first() {
+                Some(&b) => {
+                    self.data.push(b);
+                    Ok(1)
+                }
+                None => Ok(0),
             }
-            self.stall_next = true;
-            self.data.push(buf[0]);
-            Ok(1)
         }
 
         fn flush(&mut self) -> io::Result<()> {
@@ -999,23 +961,21 @@ mod tests {
 
     #[test]
     fn trickling_peer_still_receives_the_whole_frame() {
-        // Body longer than the stall budget: a cumulative counter (or the
-        // old write_all, which fails on the first WouldBlock) would give
-        // up; the consecutive budget delivers every byte.
-        let body = vec![0x5a; STALL_BUDGET as usize + 100];
-        let mut w = TricklingWriter {
-            data: Vec::new(),
-            stall_next: false,
-        };
+        // Every write is short; the frame writer continues each one
+        // until the whole frame is out.
+        let body = vec![0x5a; 300];
+        let mut w = TricklingWriter { data: Vec::new() };
         write_frame(&mut w, &body).expect("slow-draining peer still accepts");
         let mut r = Cursor::new(w.data);
         assert_eq!(read_frame(&mut r).unwrap(), Some(body));
     }
 
-    /// Accepts a few bytes, then stalls forever.
+    /// Accepts `cap` bytes, then reports a write timeout on every call,
+    /// counting the calls that timed out.
     struct StalledWriter {
         accepted: usize,
         cap: usize,
+        timeouts: usize,
     }
 
     impl Write for StalledWriter {
@@ -1025,6 +985,7 @@ mod tests {
                 self.accepted += n;
                 return Ok(n);
             }
+            self.timeouts += 1;
             Err(io::Error::new(io::ErrorKind::WouldBlock, "tick"))
         }
 
@@ -1034,13 +995,18 @@ mod tests {
     }
 
     #[test]
-    fn dead_stall_mid_frame_write_still_bounded() {
+    fn write_timeout_fails_the_frame_at_once() {
+        // A timed-out write already waited out the socket's write
+        // deadline: the frame fails on it rather than waiting again.
         let mut w = StalledWriter {
             accepted: 0,
             cap: 6,
+            timeouts: 0,
         };
         let err = write_frame(&mut w, b"0123456789").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(is_timeout(&err));
+        assert_eq!(w.accepted, 6);
+        assert_eq!(w.timeouts, 1);
     }
 
     /// The round-trip corpus of requests.

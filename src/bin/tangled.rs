@@ -967,9 +967,10 @@ fn cmd_stats(scale: f64) -> Result<(), CliError> {
     let _ = service.handle(&Request::Stats);
 
     // Exercise the event core end-to-end over a real socket: a pipelined
-    // burst of stats and validates populates the trustd.event.* gauges
-    // (registered connections, wakeups, pipeline-depth observations,
-    // partial-write continuations) that the metrics dump below prints.
+    // burst of stats and validates populates the trustd.conn.active gauge
+    // and the trustd.event.* metrics (wakeups, pipeline-depth
+    // observations, partial-write continuations) that the metrics dump
+    // below prints.
     let event_service = Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
     let profile = event_service
         .index()
