@@ -2,7 +2,7 @@
 //!
 //! Measures the four hot paths wired through [`tangled_exec::ExecPool`]
 //! at pool width 1 (the sequential baseline) versus wider pools, the
-//! trustd preload of the reference-store profiles at widths 1 and 4 (only
+//! trustd preload of the ten standard profiles at widths 1 and 4 (only
 //! its key prefetch is parallel; the installs are serial), and
 //! the effect of the process-wide signature-verification memo on a
 //! repeated validation-index build. Determinism is asserted elsewhere
@@ -81,7 +81,7 @@ fn main() {
     for width in [1usize, 4] {
         set_thread_override(Some(width));
         c.bench_function(&format!("parallel/trustd_preload_{width}t"), |b| {
-            b.iter(|| black_box(StoreIndex::with_reference_profiles().profile_names().len()))
+            b.iter(|| black_box(StoreIndex::with_standard_profiles().profile_names().len()))
         });
         set_thread_override(None);
     }

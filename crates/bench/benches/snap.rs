@@ -105,7 +105,7 @@ fn main() {
     });
 
     let state = TrustState::fold(&swaps);
-    let ckpt = encode_checkpoint(None, &state).expect("checkpoint encodes").bytes;
+    let ckpt = encode_checkpoint(None, &state);
     let ckpt_path = dir.join(format!("compacted-{}.ckpt", std::process::id()));
     std::fs::write(&ckpt_path, &ckpt).expect("checkpoint writes");
     let tail_path = dir.join(format!("compacted-{}.jrn", std::process::id()));

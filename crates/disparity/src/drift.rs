@@ -270,8 +270,7 @@ mod tests {
 
     fn checkpoint_snap(records: &[SwapRecord]) -> Snapshot {
         let state = TrustState::fold(records);
-        let ckpt = encode_checkpoint(None, &state).unwrap();
-        Snapshot::parse(ckpt.bytes).unwrap()
+        Snapshot::parse(encode_checkpoint(None, &state)).unwrap()
     }
 
     #[test]

@@ -22,12 +22,12 @@
 //!
 //! WAL ordering is preserved by the *writer* (trustd): the checkpoint
 //! is written tmp + fsync + rename before `Journal::reset` truncates
-//! the tail, both under the journal mutex. A crash between the two
-//! leaves a checkpoint *and* a full journal — replay tolerates that by
-//! skipping records whose epoch the folded state already covers.
+//! the tail, both under trustd's one swap-log lock. A crash between the
+//! two leaves a checkpoint *and* a full journal — replay tolerates that
+//! by skipping records whose epoch the folded state already covers.
 
 use crate::container::SectionId;
-use crate::delta::{encode_delta, encode_delta_meta, DeltaMeta, DeltaSummary, DELTA_BASE_NONE};
+use crate::delta::{encode_delta_meta, file_id, DeltaMeta, DELTA_BASE_NONE};
 use crate::journal::SwapRecord;
 use crate::wire::{put_str, put_varint, Cursor};
 use crate::{SnapError, Snapshot};
@@ -145,51 +145,42 @@ pub fn decode_trust_state(snap: &Snapshot) -> Result<TrustState, SnapError> {
     Ok(TrustState { epoch, records })
 }
 
-/// Build a checkpoint file: a delta over `base` that reuses every base
-/// section unchanged and carries the folded [`TrustState`]. With no
-/// base (trustd cold-started from standard profiles) the checkpoint is
-/// a base-less delta holding only the trust-state.
-pub fn encode_checkpoint(base: Option<&[u8]>, state: &TrustState) -> Result<DeltaSummary, SnapError> {
-    let state_body = encode_trust_state(state);
-    match base {
-        Some(base) => {
-            // Rebuild the base's full section list and pass it through
-            // the delta writer: every untouched section dedups away and
-            // only the trust-state rides in the checkpoint.
-            let base_snap = Snapshot::parse(base.to_vec())?;
-            let mut sections: Vec<(SectionId, Vec<u8>)> = Vec::new();
-            for entry in base_snap.entries() {
-                if entry.tag == SectionId::TrustState.tag()
-                    || entry.tag == SectionId::DeltaMeta.tag()
-                {
-                    continue;
-                }
-                let id = SectionId::from_tag(entry.tag).ok_or(SnapError::BadSectionTable {
-                    detail: "unknown section tag in checkpoint base",
-                })?;
-                sections.push((id, base_snap.entry_body(entry)?.to_vec()));
-            }
-            sections.push((SectionId::TrustState, state_body));
-            sections.sort_by_key(|(id, _)| id.tag());
-            encode_delta(&sections, base, state.epoch)
-        }
-        None => {
-            let meta_body = encode_delta_meta(&DeltaMeta {
-                base_id: DELTA_BASE_NONE,
-                epoch: state.epoch,
-                reused: Vec::new(),
-            });
-            let bytes = crate::container::assemble_tagged(&[
-                (SectionId::DeltaMeta.tag(), meta_body.as_slice()),
-                (SectionId::TrustState.tag(), state_body.as_slice()),
-            ]);
-            Ok(DeltaSummary {
-                bytes,
-                changed: vec![SectionId::TrustState.name()],
-                reused: Vec::new(),
-            })
-        }
+/// What a checkpoint keeps of its base snapshot: the base's [`file_id`]
+/// and its section table's `(tag, checksum)` rows, in tag order. Every
+/// base section except `delta-meta` and `trust-state` is reused, so the
+/// bodies are never read again.
+pub fn checkpoint_base(base: &Snapshot) -> DeltaMeta {
+    let carried = [SectionId::DeltaMeta.tag(), SectionId::TrustState.tag()];
+    let mut reused: Vec<(u8, u64)> = base
+        .entries()
+        .iter()
+        .filter(|e| !carried.contains(&e.tag))
+        .map(|e| (e.tag, e.checksum))
+        .collect();
+    reused.sort_by_key(|&(tag, _)| tag);
+    DeltaMeta {
+        base_id: file_id(base.bytes()),
+        epoch: 0,
+        reused,
     }
+}
+
+/// Build a checkpoint file: a delta over `base` (see
+/// [`checkpoint_base`]) that reuses every base section and carries the
+/// folded [`TrustState`]. With no base (trustd cold-started from
+/// standard profiles) the checkpoint is a base-less delta holding only
+/// the trust-state.
+pub fn encode_checkpoint(base: Option<&DeltaMeta>, state: &TrustState) -> Vec<u8> {
+    let meta = DeltaMeta {
+        base_id: base.map_or(DELTA_BASE_NONE, |b| b.base_id),
+        epoch: state.epoch,
+        reused: base.map(|b| b.reused.clone()).unwrap_or_default(),
+    };
+    tangled_obs::registry::add("snap.delta_sections_reused", meta.reused.len() as u64);
+    crate::container::assemble_tagged(&[
+        (SectionId::DeltaMeta.tag(), &encode_delta_meta(&meta)),
+        (SectionId::TrustState.tag(), &encode_trust_state(state)),
+    ])
 }
 
 /// Decode the trust-state out of a materialised chain (or a lone
@@ -242,8 +233,7 @@ mod tests {
     #[test]
     fn trust_state_round_trips_through_a_checkpoint() {
         let state = TrustState::fold(&[record("a", 3, "x"), record("b", 7, "y")]);
-        let ckpt = encode_checkpoint(None, &state).unwrap();
-        let snap = Snapshot::parse(ckpt.bytes).unwrap();
+        let snap = Snapshot::parse(encode_checkpoint(None, &state)).unwrap();
         assert_eq!(read_checkpoint(&snap).unwrap(), Some(state));
     }
 
@@ -254,11 +244,15 @@ mod tests {
             (SectionId::Corpus, b"c".to_vec()),
         ]);
         let state = TrustState::fold(&[record("a", 2, "x")]);
-        let ckpt = encode_checkpoint(Some(&base), &state).unwrap();
-        assert_eq!(ckpt.reused, vec!["meta", "corpus"]);
-        assert_eq!(ckpt.changed, vec!["trust-state"]);
+        let meta = checkpoint_base(&Snapshot::parse(base.clone()).unwrap());
+        let reused: Vec<u8> = meta.reused.iter().map(|&(tag, _)| tag).collect();
+        assert_eq!(reused, [SectionId::Meta.tag(), SectionId::Corpus.tag()]);
+        assert_eq!(meta.base_id, file_id(&base));
+        let ckpt = encode_checkpoint(Some(&meta), &state);
+        // Only the delta-meta and the trust-state ride in the file.
+        assert_eq!(Snapshot::parse(ckpt.clone()).unwrap().entries().len(), 2);
 
-        let m = materialize(&[base, ckpt.bytes], u64::MAX).unwrap();
+        let m = materialize(&[base, ckpt], u64::MAX).unwrap();
         let snap = Snapshot::parse(m.bytes).unwrap();
         assert_eq!(snap.section(SectionId::Meta).unwrap(), b"m");
         assert_eq!(read_checkpoint(&snap).unwrap(), Some(state));

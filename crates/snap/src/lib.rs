@@ -34,7 +34,7 @@ pub mod journal;
 pub mod study;
 pub mod wire;
 
-pub use compact::{encode_checkpoint, read_checkpoint, TrustState};
+pub use compact::{checkpoint_base, encode_checkpoint, read_checkpoint, TrustState};
 pub use container::{SectionId, Snapshot, VerifyRow, FORMAT_VERSION, MAGIC};
 pub use delta::{
     decode_delta_meta, encode_delta, file_id, materialize, materialize_chain, DeltaMeta,

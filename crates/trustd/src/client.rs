@@ -122,22 +122,25 @@ impl<S: Read + Write> TrustClient<S> {
         self.read_reply()
     }
 
-    /// Pipelined call: write *all* request frames before reading any
-    /// reply, then collect the replies in request order (the event core's
+    /// Pipelined call: frame *all* requests into one buffer and send it
+    /// with one `write_all` and one flush before reading any reply, then
+    /// collect the replies in request order (the event core's
     /// per-connection ordering guarantee). A depth-N burst costs one
-    /// coalesced write window and one read window instead of N strict
-    /// round trips. The reply budget applies per reply — each delivered
-    /// reply resets the idle clock, so a server grinding through a long
-    /// batch is never misclassified as stalled.
+    /// write and one read window instead of N strict round trips. The
+    /// reply budget applies per reply — each delivered reply resets the
+    /// idle clock, so a server grinding through a long batch is never
+    /// misclassified as stalled.
     /// A `busy` reply short-circuits the burst: only the admission path
     /// ever sends `busy`, and it closes the connection after, so nothing
     /// else is coming — the returned vector ends with that `busy` and may
     /// be shorter than `reqs`.
     pub fn pipeline(&mut self, reqs: &[Request]) -> Result<Vec<Response>, ClientError> {
+        let mut burst = Vec::new();
         for req in reqs {
-            wire::write_frame(&mut self.stream, &req.encode())
-                .map_err(ClientError::Io)?;
+            wire::write_frame(&mut burst, &req.encode()).map_err(ClientError::Io)?;
         }
+        self.stream.write_all(&burst).map_err(ClientError::Io)?;
+        self.stream.flush().map_err(ClientError::Io)?;
         let mut replies = Vec::with_capacity(reqs.len());
         for _ in reqs {
             let resp = self.read_reply()?;
@@ -315,5 +318,49 @@ mod tests {
             let body = wire::read_frame(&mut r).unwrap().expect("request frame");
             assert_eq!(Request::decode(&body).unwrap(), Request::Stats);
         }
+    }
+
+    /// Counts `write` calls; replies with a canned stream.
+    struct CountingServer {
+        writes: usize,
+        reply: std::io::Cursor<Vec<u8>>,
+    }
+
+    impl Read for CountingServer {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reply.read(buf)
+        }
+    }
+
+    impl Write for CountingServer {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_call_and_one_per_burst() {
+        let counting = || {
+            let mut reply = Vec::new();
+            wire::write_frame(&mut reply, &Response::Busy.encode()).unwrap();
+            TrustClient::from_stream(CountingServer {
+                writes: 0,
+                reply: std::io::Cursor::new(reply),
+            })
+        };
+        let mut client = counting();
+        client.call(&Request::Stats).unwrap();
+        assert_eq!(client.stream.writes, 1, "call");
+
+        // `busy` ends a burst's reads, not its writes: all eight frames go
+        // out in the one write.
+        let mut client = counting();
+        let reqs: Vec<Request> = (0..8).map(|_| Request::Stats).collect();
+        client.pipeline(&reqs).unwrap();
+        assert_eq!(client.stream.writes, 1, "depth-8 pipeline");
     }
 }

@@ -1,32 +1,30 @@
-//! The sharded in-memory store index behind the service.
+//! The in-memory store index behind the service.
 //!
-//! Two structures share one epoch counter:
+//! Named, immutable [`RootStore`] profiles, each paired with its
+//! preloaded anchor set ([`RootStore::verifier`]) so validation borrows
+//! it per request and never rebuilds or clones it. The profiles and the
+//! epoch counter sit under one lock: an install builds the anchor set
+//! first, then claims its epoch and publishes under one write lock, so a
+//! reader sees the old profile or the new one, never a mix. In-flight
+//! requests keep their `Arc` to the old profile.
 //!
-//! * **Profiles** — named, immutable [`RootStore`] snapshots, each paired
-//!   with its preloaded anchor set ([`RootStore::verifier`]) so validation
-//!   borrows it per request and never rebuilds or clones it. A profile
-//!   swap replaces the whole [`StoreProfile`] atomically under a fresh
-//!   epoch; in-flight requests keep their `Arc` to the old profile.
-//! * **Membership shards** — `CertIdentity → profile names`, spread over
-//!   N shards by identity hash so concurrent `classify` lookups touch
-//!   independent locks.
+//! Membership (`classify`'s "which stores ship this root") is not a
+//! second structure: [`StoreIndex::member_of`] asks each profile's store,
+//! ten hash lookups under the read lock.
 //!
 //! Every install takes an epoch no install has had before, so an epoch
 //! names one profile version. Cache entries are keyed by `(epoch, chain)`;
 //! since a swap changes the epoch, stale verdicts die by *key mismatch* —
 //! no scan, no invalidation pass.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use tangled_pki::store::RootStore;
 use tangled_pki::stores::{global_factory, standard_key_names, EcosystemStore, ReferenceStore};
 use tangled_x509::{CertIdentity, ChainVerifier};
 
-/// Default shard count: enough to spread a handful of worker threads,
-/// cheap enough to scan for membership teardown on swap.
+/// The shard count callers used to pass to [`StoreIndex::new`]. The
+/// index has no shards; the value is ignored.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Generate every key the standard stores and the Figure 2 catalogue
@@ -55,47 +53,46 @@ pub struct StoreProfile {
     pub epoch: u64,
 }
 
-/// The sharded profile/membership index.
+/// The profile index: installed profiles and the epoch counter, under
+/// one lock.
 pub struct StoreIndex {
-    shards: Vec<RwLock<HashMap<CertIdentity, Vec<String>>>>,
-    profiles: RwLock<HashMap<String, StoreProfile>>,
-    epoch: AtomicU64,
+    state: RwLock<IndexState>,
+}
+
+#[derive(Default)]
+struct IndexState {
+    profiles: HashMap<String, StoreProfile>,
+    /// The last epoch claimed (0 = nothing ever installed).
+    epoch: u64,
+}
+
+impl IndexState {
+    /// Claim `epoch` for `profile` and publish it under its name.
+    fn publish(&mut self, mut profile: StoreProfile, epoch: u64) -> StoreProfile {
+        self.epoch = epoch;
+        profile.epoch = epoch;
+        self.profiles.insert(profile.name.clone(), profile.clone());
+        profile
+    }
 }
 
 impl StoreIndex {
-    /// An empty index with `shards` membership shards (minimum 1).
-    pub fn new(shards: usize) -> StoreIndex {
-        let shards = shards.max(1);
+    /// An empty index. `shards` is ignored: the index has one lock.
+    pub fn new(_shards: usize) -> StoreIndex {
         StoreIndex {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            profiles: RwLock::new(HashMap::new()),
-            epoch: AtomicU64::new(0),
+            state: RwLock::default(),
         }
-    }
-
-    /// An index preloaded with all six reference stores (the four AOSP
-    /// releases, Mozilla, iOS 7), each under its canonical name.
-    ///
-    /// Every standard key is first generated in parallel (see
-    /// `prefetch_standard_keys`); the stores then install in
-    /// [`ReferenceStore::ALL`] order, so profile epochs are identical at
-    /// any thread count.
-    pub fn with_reference_profiles() -> StoreIndex {
-        prefetch_standard_keys();
-        Self::preloaded(
-            ReferenceStore::ALL
-                .into_iter()
-                .map(|rs| (rs.name(), rs.cached()))
-                .collect(),
-        )
     }
 
     /// An index preloaded with all ten standard profiles: the six
     /// reference stores (epochs 1–6, [`ReferenceStore::ALL`] order)
     /// followed by the four ecosystem families (epochs 7–10,
     /// [`EcosystemStore::ALL`] order) — the store set the disparity
-    /// engine compares and the `compare` wire op answers for. Keys are
-    /// prefetched as for [`StoreIndex::with_reference_profiles`].
+    /// engine compares and the `compare` wire op answers for.
+    ///
+    /// Every standard key is first generated in parallel (see
+    /// `prefetch_standard_keys`); the stores then install in order, so
+    /// profile epochs are identical at any thread count.
     pub fn with_standard_profiles() -> StoreIndex {
         prefetch_standard_keys();
         Self::preloaded(
@@ -125,8 +122,10 @@ impl StoreIndex {
     /// Install (or replace) a profile under the next epoch. Returns the
     /// installed profile.
     pub fn install(&self, name: &str, store: Arc<RootStore>) -> StoreProfile {
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.publish(name, store, epoch)
+        let profile = unpublished(name, store);
+        let mut state = self.write();
+        let epoch = state.epoch + 1;
+        state.publish(profile, epoch)
     }
 
     /// Install a profile *at* a recorded epoch, as checkpoint warm start
@@ -142,84 +141,69 @@ impl StoreIndex {
         store: Arc<RootStore>,
         epoch: u64,
     ) -> Result<StoreProfile, u64> {
-        self.epoch
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |current| {
-                (epoch > current).then_some(epoch)
-            })?;
-        Ok(self.publish(name, store, epoch))
-    }
-
-    /// Publish `store` under `name` at an epoch the caller has claimed.
-    fn publish(&self, name: &str, store: Arc<RootStore>, epoch: u64) -> StoreProfile {
-        let profile = StoreProfile {
-            name: name.to_owned(),
-            anchors: Arc::new(store.verifier()),
-            store: Arc::clone(&store),
-            epoch,
-        };
-
-        // Membership: drop the old profile's identities, add the new.
-        for shard in &self.shards {
-            let mut members = shard.write().expect("shard poisoned");
-            members.retain(|_, names| {
-                names.retain(|n| n != name);
-                !names.is_empty()
-            });
+        let profile = unpublished(name, store);
+        let mut state = self.write();
+        if epoch <= state.epoch {
+            return Err(state.epoch);
         }
-        for id in store.identities() {
-            let mut members = self.shard_for(id).write().expect("shard poisoned");
-            let names = members.entry(id.clone()).or_default();
-            if !names.iter().any(|n| n == name) {
-                names.push(name.to_owned());
-            }
-        }
-
-        self.profiles
-            .write()
-            .expect("profiles poisoned")
-            .insert(name.to_owned(), profile.clone());
-        profile
+        Ok(state.publish(profile, epoch))
     }
 
     /// Look up a profile by name.
     pub fn profile(&self, name: &str) -> Option<StoreProfile> {
-        self.profiles
-            .read()
-            .expect("profiles poisoned")
-            .get(name)
-            .cloned()
+        self.read().profiles.get(name).cloned()
     }
 
     /// Installed profile names, sorted.
     pub fn profile_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .profiles
-            .read()
-            .expect("profiles poisoned")
-            .keys()
-            .cloned()
-            .collect();
+        let mut names: Vec<String> = self.read().profiles.keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Profiles whose store contains `id`, sorted.
     pub fn member_of(&self, id: &CertIdentity) -> Vec<String> {
-        let members = self.shard_for(id).read().expect("shard poisoned");
-        let mut names = members.get(id).cloned().unwrap_or_default();
+        let mut names: Vec<String> = self
+            .read()
+            .profiles
+            .values()
+            .filter(|p| p.store.contains(id))
+            .map(|p| p.name.clone())
+            .collect();
         names.sort();
         names
     }
 
-    /// The current global epoch (0 = nothing ever installed).
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+    /// The global epoch and every profile's `(name, epoch)`, read under
+    /// one lock, so no install lands between them.
+    pub fn epochs(&self) -> (u64, BTreeMap<String, u64>) {
+        let state = self.read();
+        let profiles = state.profiles.values().map(|p| (p.name.clone(), p.epoch));
+        (state.epoch, profiles.collect())
     }
 
-    fn shard_for(&self, id: &CertIdentity) -> &RwLock<HashMap<CertIdentity, Vec<String>>> {
-        let mut hasher = DefaultHasher::new();
-        id.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+    /// The current global epoch (0 = nothing ever installed).
+    pub fn current_epoch(&self) -> u64 {
+        self.read().epoch
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, IndexState> {
+        self.state.read().expect("index poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, IndexState> {
+        self.state.write().expect("index poisoned")
+    }
+}
+
+/// A profile for `store` with its anchor set built, before any lock is
+/// taken; [`IndexState::publish`] stamps its epoch.
+fn unpublished(name: &str, store: Arc<RootStore>) -> StoreProfile {
+    StoreProfile {
+        name: name.to_owned(),
+        anchors: Arc::new(store.verifier()),
+        store,
+        epoch: 0,
     }
 }
 
@@ -227,9 +211,18 @@ impl StoreIndex {
 mod tests {
     use super::*;
 
+    /// The six reference stores at epochs 1–6.
+    fn reference_index() -> StoreIndex {
+        StoreIndex::preloaded(
+            ReferenceStore::ALL
+                .map(|rs| (rs.name(), rs.cached()))
+                .to_vec(),
+        )
+    }
+
     #[test]
     fn reference_profiles_resolve_by_canonical_name() {
-        let index = StoreIndex::with_reference_profiles();
+        let index = reference_index();
         assert_eq!(
             index.profile_names(),
             vec![
@@ -265,7 +258,7 @@ mod tests {
 
     #[test]
     fn membership_spans_profiles() {
-        let index = StoreIndex::with_reference_profiles();
+        let index = reference_index();
         // Every 4.1 anchor also ships in 4.2 (the stores validate
         // identically per Table 3), so membership includes both.
         let store = ReferenceStore::Aosp41.cached();
@@ -357,12 +350,28 @@ mod tests {
     }
 
     #[test]
-    fn shard_assignment_is_stable() {
-        let index = StoreIndex::new(8);
-        let store = ReferenceStore::Mozilla.cached();
-        let id = &store.identities()[0];
-        let a = index.shard_for(id) as *const _;
-        let b = index.shard_for(id) as *const _;
-        assert_eq!(a, b, "same identity always maps to the same shard");
+    fn member_of_never_misses_a_profile_across_an_install() {
+        // Two versions of one profile that both hold `id`: whichever an
+        // install publishes, `member_of(id)` must name the profile.
+        let full = ReferenceStore::Aosp44.cached();
+        let id = full.identities()[0].clone();
+        let mut trimmed = full.cloned_as("trimmed");
+        trimmed.remove(&full.identities()[1]);
+        let versions = [Arc::clone(&full), Arc::new(trimmed)];
+        let index = StoreIndex::new(DEFAULT_SHARDS);
+        index.install("dev", Arc::clone(&full));
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..400 {
+                    index.install("dev", Arc::clone(&versions[i % 2]));
+                }
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+            });
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                assert_eq!(index.member_of(&id), ["dev"]);
+            }
+        });
+        assert_eq!(index.current_epoch(), 401);
     }
 }

@@ -9,6 +9,12 @@
 //! `(epoch, ChainKey)`. The epoch component makes profile swaps
 //! self-invalidating: a swap installs under a fresh epoch, so every stale
 //! entry simply stops being reachable and ages out of the LRU.
+//!
+//! Each piece of mutable state has one lock: the store index (its
+//! profiles and epoch), the memo, the counters and the swap log. The
+//! swap log holds the journal and its compaction together, since every
+//! journalled swap appends and may compact; holding it also serialises
+//! swaps.
 
 use crate::cache::LruCache;
 use crate::index::{StoreIndex, StoreProfile};
@@ -29,6 +35,7 @@ use tangled_pki::store::RootStore;
 use tangled_pki::stores::ReferenceStore;
 use tangled_pki::trust::AnchorSource;
 use tangled_pki::vocab::AndroidVersion;
+use tangled_snap::{Journal, SnapError, SwapRecord};
 use tangled_x509::{Certificate, CertIdentity, ChainKey, ChainOptions};
 
 /// Memo-cache key: the verdict depends on the store and the presented
@@ -47,23 +54,30 @@ type Reply = Result<Response, Response>;
 /// Default memo-cache capacity.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
+/// The write-ahead swap journal and, when armed, its compaction. One
+/// lock holds both: every swap appends to the journal and may compact
+/// it, and holding the lock serialises swaps.
+struct SwapLog {
+    journal: Journal,
+    compaction: Option<Compaction>,
+}
+
 /// Online journal compaction: the fold accumulated so far plus where and
 /// when to checkpoint it.
-struct Compactor {
+pub(crate) struct Compaction {
     /// Checkpoint destination (`<journal>.ckpt` by convention).
-    path: String,
+    pub(crate) path: String,
     /// Journal size (bytes) past which a swap triggers compaction.
-    threshold: u64,
-    /// The base snapshot file's bytes, when the server warm-started from
-    /// one cleanly — checkpoints delta over it so unchanged study
-    /// sections dedup away. `None` for a cold or degraded start:
-    /// checkpoints are base-less.
-    base: Option<Vec<u8>>,
+    pub(crate) threshold: u64,
+    /// The clean warm start's snapshot as a checkpoint reuses it
+    /// ([`tangled_snap::checkpoint_base`]): its file id and section rows.
+    /// `None` for a cold or degraded start: checkpoints are base-less.
+    pub(crate) base: Option<tangled_snap::DeltaMeta>,
     /// Every swap the journal has ever recorded, folded to the last
     /// record per profile (seeded from a prior checkpoint at warm start).
-    state: tangled_snap::TrustState,
+    pub(crate) state: tangled_snap::TrustState,
     /// Checkpoints written by this process.
-    compactions: u64,
+    pub(crate) compactions: u64,
 }
 
 /// The trust-decision service.
@@ -73,14 +87,9 @@ pub struct TrustService {
     classes: HashMap<CertIdentity, Figure2Class>,
     expected_issuer: CertIdentity,
     stats: ServiceStats,
-    /// Write-ahead swap journal. The mutex also serialises swaps, which
-    /// is what makes the epoch recorded in each frame the epoch the
-    /// install actually produces.
-    journal: Mutex<Option<tangled_snap::Journal>>,
-    /// Compaction config/state. Only ever locked while the journal lock
-    /// is held (swap path) or for read-only stats, so the order
-    /// journal → compactor is fixed and deadlock-free.
-    compactor: Mutex<Option<Compactor>>,
+    /// The swap journal and its compaction; `None` serves swaps
+    /// unjournalled.
+    swap_log: Mutex<Option<SwapLog>>,
 }
 
 impl TrustService {
@@ -102,49 +111,33 @@ impl TrustService {
             classes: class_index(),
             expected_issuer: OriginServers::for_table6().issuer_identity(),
             stats: ServiceStats::new(),
-            journal: Mutex::new(None),
-            compactor: Mutex::new(None),
+            swap_log: Mutex::new(None),
         }
     }
 
-    /// Attach a swap journal. Every subsequent accepted `swap` is framed,
-    /// appended and fsync'd *before* the store install publishes.
-    pub fn attach_journal(&self, journal: tangled_snap::Journal) {
-        *self.journal.lock().expect("journal poisoned") = Some(journal);
+    /// Attach the swap journal and, if armed, its compaction. Every
+    /// subsequent accepted `swap` is framed, appended and fsync'd
+    /// *before* the store install publishes; with compaction armed, a
+    /// swap that leaves the journal past its threshold folds the history
+    /// into a checkpoint (written atomically: tmp + fsync + rename) and
+    /// truncates the journal back to its magic.
+    pub(crate) fn attach_swap_log(&self, journal: Journal, compaction: Option<Compaction>) {
+        *self.swap_log() = Some(SwapLog {
+            journal,
+            compaction,
+        });
     }
 
-    /// Enable online journal compaction: once the journal grows past
-    /// `threshold` bytes, the accepted swap folds the history into a
-    /// checkpoint at `path` (written atomically: tmp + fsync + rename)
-    /// and truncates the journal back to its magic. `base` is the clean
-    /// warm start's snapshot file bytes (checkpoints delta over it;
-    /// `None` writes base-less checkpoints); `state`
-    /// seeds the fold — the prior checkpoint's trust-state absorbed with
-    /// whatever journal tail start-up replayed.
-    pub fn configure_compaction(
-        &self,
-        path: String,
-        threshold: u64,
-        base: Option<Vec<u8>>,
-        state: tangled_snap::TrustState,
-    ) {
-        *self.compactor.lock().expect("compactor poisoned") = Some(Compactor {
-            path,
-            threshold,
-            base,
-            state,
-            compactions: 0,
-        });
+    fn swap_log(&self) -> std::sync::MutexGuard<'_, Option<SwapLog>> {
+        self.swap_log.lock().expect("swap log poisoned")
     }
 
     /// Checkpoints written by this process (test/stats introspection).
     pub fn compactions(&self) -> u64 {
-        self.compactor
-            .lock()
-            .expect("compactor poisoned")
+        self.swap_log()
             .as_ref()
-            .map(|c| c.compactions)
-            .unwrap_or(0)
+            .and_then(|log| log.compaction.as_ref())
+            .map_or(0, |c| c.compactions)
     }
 
     /// The service's counters.
@@ -215,41 +208,23 @@ impl TrustService {
         reply.unwrap_or_else(|refused| refused)
     }
 
-    /// The full stats document: the counter ledger plus a live view of
-    /// the index — global epoch and per-profile epochs. The per-profile
-    /// epochs are what a resilient client re-syncs an ambiguous `swap`
-    /// against: if the profile's epoch advanced past the one observed
-    /// before the attempt, the swap landed.
+    /// The full stats document: the counter ledger, a live view of the
+    /// index (global epoch and per-profile epochs) and, with a journal,
+    /// its size and the checkpoints written.
     pub fn stats_document(&self) -> serde_json::Value {
         let mut doc = self.stats.to_json();
-        let mut profiles = serde_json::Value::Object(Default::default());
-        if let serde_json::Value::Object(map) = &mut profiles {
-            for name in self.index.profile_names() {
-                if let Some(profile) = self.index.profile(&name) {
-                    map.insert(name, serde_json::Value::from(profile.epoch));
-                }
-            }
-        }
+        let (epoch, profiles) = self.index.epochs();
         if let serde_json::Value::Object(map) = &mut doc {
             map.insert(
                 "index".to_owned(),
-                serde_json::json!({
-                    "epoch": self.index.current_epoch(),
-                    "profiles": profiles,
-                }),
+                serde_json::json!({ "epoch": epoch, "profiles": profiles }),
             );
-            let journal_size = self
-                .journal
-                .lock()
-                .expect("journal poisoned")
-                .as_ref()
-                .map(tangled_snap::Journal::size);
-            if let Some(size) = journal_size {
+            if let Some(log) = self.swap_log().as_ref() {
                 map.insert(
                     "journal".to_owned(),
                     serde_json::json!({
-                        "size": size,
-                        "compactions": self.compactions(),
+                        "size": log.journal.size(),
+                        "compactions": log.compaction.as_ref().map_or(0, |c| c.compactions),
                     }),
                 );
             }
@@ -484,73 +459,68 @@ impl TrustService {
         };
         let anchors = store.len();
 
-        // Write-ahead order: holding the journal lock serialises swaps,
+        // Write-ahead order: holding the swap-log lock serialises swaps,
         // so `current_epoch + 1` is exactly the epoch the install below
         // will produce; the frame is durable before the store publishes.
         // If the journal cannot be written the swap is refused — a swap
         // the journal does not record would be lost by a restart.
-        let mut journal = self.journal.lock().expect("journal poisoned");
-        if let Some(j) = journal.as_mut() {
-            let record = tangled_snap::SwapRecord {
+        let mut swap_log = self.swap_log();
+        if let Some(log) = swap_log.as_mut() {
+            let record = SwapRecord {
                 profile: profile.to_owned(),
                 epoch: self.index.current_epoch() + 1,
                 store: snapshot.clone(),
             };
-            if let Err(e) = j.append(&record) {
+            if let Err(e) = log.journal.append(&record) {
                 self.stats.record_quarantined("swap", e.label());
                 return Err(error("swap", "journal-io"));
             }
-            self.maybe_compact(j, &record);
+            if let Some(compaction) = log.compaction.as_mut() {
+                if let Err(e) = compaction.absorb(&mut log.journal, &record) {
+                    self.stats.record_quarantined("compact", e.label());
+                }
+            }
         }
         let installed = self.index.install(profile, Arc::new(store));
-        drop(journal);
+        drop(swap_log);
         Ok(Response::Swap {
             profile: installed.name,
             epoch: installed.epoch,
             anchors,
         })
     }
+}
 
-    /// Fold the just-journalled swap into the compaction state and, if
-    /// the journal crossed the threshold, write a checkpoint and truncate
-    /// it. Runs under the journal mutex (the caller holds it), so the
-    /// fold, the checkpoint and the truncation are atomic with respect to
-    /// concurrent swaps and WAL ordering is preserved: the checkpoint is
-    /// durable (tmp + fsync + rename) *before* the journal resets, and a
-    /// crash between the two merely leaves a tail that replay skips as
-    /// already-covered.
+impl Compaction {
+    /// Fold the just-journalled swap into the state and, if the journal
+    /// crossed the threshold, write a checkpoint and truncate it. Runs
+    /// under the swap-log lock, so the fold, the checkpoint and the
+    /// truncation are atomic with respect to concurrent swaps and WAL
+    /// ordering is preserved: the checkpoint is durable (tmp + fsync +
+    /// rename) *before* the journal resets, and a crash between the two
+    /// merely leaves a tail that replay skips as already-covered.
     ///
     /// A failed checkpoint never fails the swap — the frame is already
-    /// durable in the journal; the failure is quarantined and compaction
-    /// retries at the next swap.
-    fn maybe_compact(&self, journal: &mut tangled_snap::Journal, record: &tangled_snap::SwapRecord) {
-        let mut compactor = self.compactor.lock().expect("compactor poisoned");
-        let Some(c) = compactor.as_mut() else {
-            return;
-        };
-        c.state.absorb(std::slice::from_ref(record));
-        if journal.size() < c.threshold {
-            return;
+    /// durable in the journal; the caller quarantines the failure and
+    /// compaction retries at the next swap.
+    fn absorb(&mut self, journal: &mut Journal, record: &SwapRecord) -> Result<(), SnapError> {
+        self.state.absorb(std::slice::from_ref(record));
+        if journal.size() < self.threshold {
+            return Ok(());
         }
-        let outcome = tangled_snap::encode_checkpoint(c.base.as_deref(), &c.state)
-            .and_then(|summary| {
-                write_atomic(&c.path, &summary.bytes)?;
-                journal.reset()
-            });
-        match outcome {
-            Ok(()) => {
-                c.compactions += 1;
-                tangled_obs::registry::add("journal.compactions", 1);
-            }
-            Err(e) => self.stats.record_quarantined("compact", e.label()),
-        }
+        let bytes = tangled_snap::encode_checkpoint(self.base.as_ref(), &self.state);
+        write_atomic(&self.path, &bytes)?;
+        journal.reset()?;
+        self.compactions += 1;
+        tangled_obs::registry::add("journal.compactions", 1);
+        Ok(())
     }
 }
 
 /// Durable file replacement: write to a sibling tmp path, fsync, rename
 /// over the destination. Readers see either the old checkpoint or the
 /// complete new one, never a torn file.
-fn write_atomic(path: &str, bytes: &[u8]) -> Result<(), tangled_snap::SnapError> {
+fn write_atomic(path: &str, bytes: &[u8]) -> Result<(), SnapError> {
     use std::io::Write;
     let tmp = format!("{path}.tmp");
     let mut f = std::fs::File::create(&tmp)?;
@@ -972,13 +942,14 @@ mod tests {
         let svc = TrustService::new(16);
         let (journal, _, _) =
             tangled_snap::Journal::open(journal_path.to_str().unwrap()).unwrap();
-        svc.attach_journal(journal);
-        svc.configure_compaction(
-            ckpt_path.to_string_lossy().into_owned(),
-            1, // every journalled swap crosses the threshold
-            None,
-            tangled_snap::TrustState::default(),
-        );
+        let compaction = Compaction {
+            path: ckpt_path.to_string_lossy().into_owned(),
+            threshold: 1, // every journalled swap crosses the threshold
+            base: None,
+            state: tangled_snap::TrustState::default(),
+            compactions: 0,
+        };
+        svc.attach_swap_log(journal, Some(compaction));
 
         let store = ReferenceStore::Mozilla.cached();
         for profile in ["canary-a", "canary-b", "canary-a"] {

@@ -12,7 +12,7 @@
 
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use tangled_core::health::RunHealth;
 use tangled_obs::registry as metrics;
 
@@ -49,12 +49,16 @@ impl ServiceStats {
         ServiceStats::default()
     }
 
+    fn inner(&self) -> MutexGuard<'_, StatsInner> {
+        self.inner.lock().expect("stats poisoned")
+    }
+
     /// Record one request of `kind`, its latency, and whether it resolved
     /// to an error response. Mirrored into the process-wide metrics
     /// registry (`trustd.requests.<kind>`, `trustd.request_us`) so a
     /// `--metrics-dump` covers the serving path too.
     pub fn record_request(&self, kind: &str, micros: u64, errored: bool) {
-        let mut inner = self.inner.lock().expect("stats poisoned");
+        let mut inner = self.inner();
         *inner.served.entry(kind.to_owned()).or_default() += 1;
         if errored {
             *inner.errors.entry(kind.to_owned()).or_default() += 1;
@@ -67,7 +71,7 @@ impl ServiceStats {
 
     /// Record a memo-cache hit or miss.
     pub fn record_cache(&self, hit: bool) {
-        let mut inner = self.inner.lock().expect("stats poisoned");
+        let mut inner = self.inner();
         if hit {
             inner.cache_hits += 1;
         } else {
@@ -87,11 +91,7 @@ impl ServiceStats {
     /// Record one quarantined input under `(stage, label)` — the PR-1
     /// graceful-degradation vocabulary.
     pub fn record_quarantined(&self, stage: &str, label: &str) {
-        self.inner
-            .lock()
-            .expect("stats poisoned")
-            .health
-            .record_quarantined(stage, label);
+        self.inner().health.record_quarantined(stage, label);
         metrics::add("trustd.quarantined", 1);
     }
 
@@ -101,7 +101,7 @@ impl ServiceStats {
     /// document, so operators can see *which* sections a degraded server
     /// is running without.
     pub fn record_degraded(&self, unit: &str, label: &str) {
-        let mut inner = self.inner.lock().expect("stats poisoned");
+        let mut inner = self.inner();
         inner.health.record_quarantined("warm", label);
         inner.degraded.push((unit.to_owned(), label.to_owned()));
         drop(inner);
@@ -110,33 +110,24 @@ impl ServiceStats {
 
     /// Total requests served (all kinds).
     pub fn served_total(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("stats poisoned")
-            .served
-            .values()
-            .sum()
+        self.inner().served.values().sum()
     }
 
     /// Memo-cache (hits, misses).
     pub fn cache_counts(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("stats poisoned");
+        let inner = self.inner();
         (inner.cache_hits, inner.cache_misses)
     }
 
     /// Total quarantined inputs.
     pub fn quarantined_total(&self) -> u32 {
-        self.inner
-            .lock()
-            .expect("stats poisoned")
-            .health
-            .quarantined_total()
+        self.inner().health.quarantined_total()
     }
 
     /// A deterministic digest of every counter *except* latency (which is
     /// wall-clock): same request sequence → same fingerprint.
     pub fn counters_fingerprint(&self) -> String {
-        let inner = self.inner.lock().expect("stats poisoned");
+        let inner = self.inner();
         let mut out = String::new();
         for (kind, n) in &inner.served {
             out.push_str(&format!("served:{kind}={n};"));
@@ -158,7 +149,7 @@ impl ServiceStats {
 
     /// The full stats document served on a `stats` request.
     pub fn to_json(&self) -> Value {
-        let inner = self.inner.lock().expect("stats poisoned");
+        let inner = self.inner();
         // Canonical `(unit, label)` order: the warm-start path may
         // discover damage in any order (parallel verifier builds,
         // section-table order), but two servers degraded the same way

@@ -19,8 +19,10 @@
 //!    replay at their recorded epochs; records the checkpoint already
 //!    covers are skipped.
 //! 4. **Compaction.** Checkpoints delta over the snapshot only when
-//!    step 1 quarantined nothing; otherwise they are base-less, since a
-//!    damaged or incomplete base cannot be re-read section by section.
+//!    step 1 quarantined nothing. They keep the snapshot's file id and
+//!    section rows ([`checkpoint_base`]), not its bytes, and reuse every
+//!    base section by checksum; after a degraded start they are
+//!    base-less, since that reuse would name damaged or missing bytes.
 //!
 //! The epoch sequence is the cold start's: the six reference profiles
 //! install as epochs 1–6 in [`ReferenceStore::ALL`] order, the four
@@ -30,14 +32,14 @@
 //! silently different server.
 
 use crate::index::StoreIndex;
-use crate::service::{TrustService, DEFAULT_CACHE_CAPACITY};
+use crate::service::{Compaction, TrustService, DEFAULT_CACHE_CAPACITY};
 use std::sync::Arc;
 use tangled_pki::store::RootStore;
 use tangled_pki::stores::{EcosystemStore, ReferenceStore};
 use tangled_snap::compact::decode_trust_state;
 use tangled_snap::{
-    decode_delta_meta, decode_eco_stores, decode_stores, file_id, Journal, SectionId, SnapError,
-    Snapshot, SwapRecord, TrustState, DELTA_BASE_NONE,
+    checkpoint_base, decode_delta_meta, decode_eco_stores, decode_stores, DeltaMeta, Journal,
+    SectionId, SnapError, Snapshot, SwapRecord, TrustState, DELTA_BASE_NONE,
 };
 
 /// A started service and what start-up has to tell the operator.
@@ -104,7 +106,7 @@ pub fn start(
             if !quarantined.is_empty() {
                 tangled_obs::registry::add("trustd.warm_starts.degraded", 1);
             }
-            (StoreIndex::preloaded(picked), Some(snap))
+            (StoreIndex::preloaded(picked), Some(checkpoint_base(&snap)))
         }
         None => {
             notes.push("cold start: generated the standard store profiles".to_owned());
@@ -124,7 +126,9 @@ pub fn start(
     let mut state = TrustState::default();
     if std::path::Path::new(&ckpt).exists() {
         state = read_checkpoint_over(&ckpt, base.as_ref()).map_err(at(&ckpt))?;
-        install_folded(service.index(), &state).map_err(at(&ckpt))?;
+        for record in &state.records {
+            reinstall(service.index(), record, SectionId::TrustState.name()).map_err(at(&ckpt))?;
+        }
         notes.push(format!(
             "checkpoint: folded {} profile(s); epoch {}",
             state.records.len(),
@@ -133,7 +137,7 @@ pub fn start(
     }
 
     // 3. Journal tail.
-    let (log, tail, recovery) = Journal::open(journal_path).map_err(at(journal_path))?;
+    let (journal, tail, recovery) = Journal::open(journal_path).map_err(at(journal_path))?;
     if recovery.truncated {
         notes.push(format!(
             "journal: truncated a torn final record ({} bytes dropped)",
@@ -152,14 +156,11 @@ pub fn start(
         summary.replayed,
         service.index().current_epoch()
     ));
-    service.attach_journal(log);
 
     // 4. Compaction: the fold covers everything the index holds — the
     // checkpoint's state plus the replayed tail.
-    if let Some(threshold) = compact_threshold {
-        let base = base
-            .filter(|_| quarantined.is_empty())
-            .map(|snap| snap.bytes().to_vec());
+    let compaction = compact_threshold.map(|threshold| {
+        let base = base.filter(|_| quarantined.is_empty());
         if base.is_none() && snapshot.is_some() {
             notes.push(
                 "compaction: checkpoints are base-less (the warm start quarantined part of \
@@ -171,8 +172,15 @@ pub fn start(
         notes.push(format!(
             "compaction: armed at {threshold} journal byte(s); checkpoint {ckpt}"
         ));
-        service.configure_compaction(ckpt, threshold, base, state);
-    }
+        Compaction {
+            path: ckpt,
+            threshold,
+            base,
+            state,
+            compactions: 0,
+        }
+    });
+    service.attach_swap_log(journal, compaction);
     Ok(Started { service, notes })
 }
 
@@ -267,15 +275,16 @@ fn pick_stores(
 }
 
 /// Read a compaction checkpoint's trust-state, checking that it belongs
-/// over `base` (the snapshot this start loaded, if any) and that it
-/// changes nothing but the trust-state.
-fn read_checkpoint_over(path: &str, base: Option<&Snapshot>) -> Result<TrustState, SnapError> {
+/// over `base` (the snapshot this start loaded, if any, as
+/// [`checkpoint_base`] describes it) and that it changes nothing but the
+/// trust-state.
+fn read_checkpoint_over(path: &str, base: Option<&DeltaMeta>) -> Result<TrustState, SnapError> {
     let ckpt = Snapshot::open(path)?;
     let meta = decode_delta_meta(&ckpt)?.ok_or(SnapError::MissingSection {
         section: SectionId::DeltaMeta.name(),
     })?;
     if meta.base_id != DELTA_BASE_NONE {
-        let actual = base.map_or(DELTA_BASE_NONE, |snap| file_id(snap.bytes()));
+        let actual = base.map_or(DELTA_BASE_NONE, |b| b.base_id);
         if meta.base_id != actual {
             return Err(SnapError::BaseMismatch {
                 recorded: meta.base_id,
@@ -295,22 +304,25 @@ fn read_checkpoint_over(path: &str, base: Option<&Snapshot>) -> Result<TrustStat
     decode_trust_state(&ckpt)
 }
 
-/// Re-install a checkpoint's folded records at their recorded epochs,
-/// so the epoch sequence matches a replay of the full journal.
-fn install_folded(index: &StoreIndex, state: &TrustState) -> Result<(), SnapError> {
-    for record in &state.records {
-        let store = RootStore::from_snapshot(&record.store).map_err(|_| SnapError::Malformed {
-            section: SectionId::TrustState.name(),
-            detail: "folded store fails to reconstruct",
-        })?;
-        index
-            .install_at_epoch(&record.profile, Arc::new(store), record.epoch)
-            .map_err(|current| SnapError::EpochMismatch {
-                recorded: record.epoch,
-                produced: current + 1,
-            })?;
-    }
-    Ok(())
+/// Re-install a recorded swap at its recorded epoch, which must be
+/// ahead of the index's. Folded records may skip epochs; the journal
+/// holds every swap, so [`replay_journal`] also requires the next one.
+fn reinstall(
+    index: &StoreIndex,
+    record: &SwapRecord,
+    section: &'static str,
+) -> Result<(), SnapError> {
+    let store = RootStore::from_snapshot(&record.store).map_err(|_| SnapError::Malformed {
+        section,
+        detail: "recorded store fails to reconstruct",
+    })?;
+    index
+        .install_at_epoch(&record.profile, Arc::new(store), record.epoch)
+        .map(drop)
+        .map_err(|current| SnapError::EpochMismatch {
+            recorded: record.epoch,
+            produced: current + 1,
+        })
 }
 
 /// What [`replay_journal`] did.
@@ -328,33 +340,30 @@ struct ReplaySummary {
 /// Replay journalled swaps over a freshly started index.
 ///
 /// Each record re-installs its store snapshot under its profile name and
-/// must land on the epoch recorded at append time; the journal and
-/// snapshot belong to one server history, and a mismatch means they were
-/// mixed from different ones. Records whose epoch the index has already
-/// reached (a checkpoint written just before a crash left the journal
-/// tail in place) are skipped, not errors — the folded state already
-/// covers them.
+/// must land on exactly the next epoch, the one recorded at append time;
+/// the journal and snapshot belong to one server history, and a
+/// mismatch means they were mixed from different ones. Records whose
+/// epoch the index has already reached (a checkpoint written just before
+/// a crash left the journal tail in place) are skipped, not errors — the
+/// folded state already covers them.
 fn replay_journal(index: &StoreIndex, records: &[SwapRecord]) -> Result<ReplaySummary, SnapError> {
     let mut summary = ReplaySummary {
         replayed: 0,
         skipped: 0,
     };
     for record in records {
-        if record.epoch <= index.current_epoch() {
+        let next = index.current_epoch() + 1;
+        if record.epoch < next {
             summary.skipped += 1;
             continue;
         }
-        let store = RootStore::from_snapshot(&record.store).map_err(|_| SnapError::Malformed {
-            section: "journal",
-            detail: "journalled store fails to reconstruct",
-        })?;
-        let installed = index.install(&record.profile, Arc::new(store));
-        if installed.epoch != record.epoch {
+        if record.epoch != next {
             return Err(SnapError::EpochMismatch {
                 recorded: record.epoch,
-                produced: installed.epoch,
+                produced: next,
             });
         }
+        reinstall(index, record, "journal")?;
         summary.replayed += 1;
     }
     tangled_obs::registry::add("journal.replayed", summary.replayed as u64);
@@ -368,7 +377,7 @@ fn replay_journal(index: &StoreIndex, records: &[SwapRecord]) -> Result<ReplaySu
 mod tests {
     use super::*;
     use tangled_snap::container::assemble;
-    use tangled_snap::delta::{encode_delta_meta, DeltaMeta};
+    use tangled_snap::delta::encode_delta_meta;
 
     /// A per-test scratch directory, removed on drop.
     struct TestDir(std::path::PathBuf);
@@ -396,6 +405,15 @@ mod tests {
         }
     }
 
+    /// The six reference stores at epochs 1–6.
+    fn reference_index() -> StoreIndex {
+        StoreIndex::preloaded(
+            ReferenceStore::ALL
+                .map(|rs| (rs.name(), rs.cached()))
+                .to_vec(),
+        )
+    }
+
     fn record(profile: &str, epoch: u64) -> SwapRecord {
         SwapRecord {
             profile: profile.into(),
@@ -406,7 +424,7 @@ mod tests {
 
     #[test]
     fn replay_detects_epoch_divergence() {
-        let index = StoreIndex::with_reference_profiles();
+        let index = reference_index();
         // A six-profile index's next epoch is 7, not 42.
         let err = replay_journal(&index, &[record("device", 42)]).unwrap_err();
         assert_eq!(
@@ -420,7 +438,7 @@ mod tests {
 
     #[test]
     fn replay_reproduces_recorded_epochs() {
-        let index = StoreIndex::with_reference_profiles();
+        let index = reference_index();
         replay_journal(&index, &[record("device", 7), record("AOSP 4.4", 8)]).unwrap();
         assert_eq!(index.current_epoch(), 8);
         assert_eq!(index.profile("device").unwrap().epoch, 7);
@@ -431,7 +449,7 @@ mod tests {
     fn replay_skips_records_the_index_already_covers() {
         // The compaction crash window: the checkpoint reached epoch 6,
         // but the untruncated journal still holds frames 5 and 7.
-        let index = StoreIndex::with_reference_profiles();
+        let index = reference_index();
         let summary = replay_journal(&index, &[record("device", 5), record("device", 7)]).unwrap();
         assert_eq!(
             summary,
@@ -452,8 +470,8 @@ mod tests {
             record("other", 12),
             record("canary", 13),
         ]);
-        let ckpt = tangled_snap::encode_checkpoint(None, &state).unwrap();
-        std::fs::write(format!("{journal}.ckpt"), &ckpt.bytes).unwrap();
+        let ckpt = tangled_snap::encode_checkpoint(None, &state);
+        std::fs::write(format!("{journal}.ckpt"), ckpt).unwrap();
         // The crash window: the journal still holds frame 13 beside the
         // checkpoint that folded it, plus one swap made after.
         let (mut log, _, _) = Journal::open(&journal).unwrap();
@@ -484,8 +502,8 @@ mod tests {
         let dir = TestDir::new("stale");
         let journal = dir.path("swaps.jrn");
         let state = TrustState::fold(&[record("canary", 9)]);
-        let ckpt = tangled_snap::encode_checkpoint(None, &state).unwrap();
-        std::fs::write(format!("{journal}.ckpt"), &ckpt.bytes).unwrap();
+        let ckpt = tangled_snap::encode_checkpoint(None, &state);
+        std::fs::write(format!("{journal}.ckpt"), ckpt).unwrap();
         let err = start(None, Some(&journal), None).err().expect("refused");
         assert_eq!(err.path, format!("{journal}.ckpt"));
         assert_eq!(
@@ -554,9 +572,8 @@ mod tests {
         // A cold start over a base-less checkpoint is not a warm start.
         let journal = dir.path("cold.jrn");
         let ckpt =
-            tangled_snap::encode_checkpoint(None, &TrustState::fold(&[record("canary", 11)]))
-                .unwrap();
-        std::fs::write(format!("{journal}.ckpt"), &ckpt.bytes).unwrap();
+            tangled_snap::encode_checkpoint(None, &TrustState::fold(&[record("canary", 11)]));
+        std::fs::write(format!("{journal}.ckpt"), ckpt).unwrap();
         start(None, Some(&journal), None).unwrap();
         assert_eq!(counter("trustd.warm_starts"), warm);
 

@@ -170,9 +170,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     Ok(Some(body))
 }
 
-/// Write one frame with `write_all`: short writes are continued, and a
-/// write that times out fails the frame at once, so the socket's write
-/// timeout is the whole write deadline.
+/// Write one frame, header and body, with one `write_all` of one buffer
+/// (one `write` call unless the peer takes it short), then flush.
+/// Short writes are continued, and a write that times out fails the
+/// frame at once, so the socket's write timeout is the whole write
+/// deadline.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -180,8 +182,7 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body)?;
+    w.write_all(&[&(body.len() as u32).to_be_bytes()[..], body].concat())?;
     w.flush()
 }
 

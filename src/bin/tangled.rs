@@ -954,7 +954,7 @@ fn cmd_stats(scale: f64) -> Result<(), CliError> {
     // Exercise the trustd serving path in-process: one classify over an
     // AOSP anchor, then the stats document — enough to populate the
     // per-kind request counters without a socket.
-    let service = TrustService::new(DEFAULT_CACHE_CAPACITY);
+    let service = Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
     let anchor_der = ReferenceStore::Aosp44
         .cached()
         .iter()
@@ -965,20 +965,21 @@ fn cmd_stats(scale: f64) -> Result<(), CliError> {
         cert: anchor_der.clone(),
     });
     let _ = service.handle(&Request::Stats);
+    let in_process = service.stats().served_total();
+    let in_process_fingerprint = service.stats().counters_fingerprint();
 
-    // Exercise the event core end-to-end over a real socket: a pipelined
-    // burst of stats and validates populates the trustd.conn.active gauge
-    // and the trustd.event.* metrics (wakeups, pipeline-depth
-    // observations, partial-write continuations) that the metrics dump
-    // below prints.
-    let event_service = Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
-    let profile = event_service
+    // Exercise the event core end-to-end over a real socket, served by
+    // the same service: a pipelined burst of stats and validates
+    // populates the trustd.conn.active gauge and the trustd.event.*
+    // metrics (wakeups, pipeline-depth observations, partial-write
+    // continuations) that the metrics dump below prints.
+    let profile = service
         .index()
         .profile_names()
         .first()
         .cloned()
         .ok_or("trustd index has no profiles")?;
-    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&event_service), 1)
+    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service), 1)
         .map_err(|e| format!("binding event core: {e}"))?;
     let mut burst: Vec<Request> = (0..4).map(|_| Request::Stats).collect();
     burst.extend((0..2).map(|_| Request::Validate {
@@ -1032,14 +1033,13 @@ fn cmd_stats(scale: f64) -> Result<(), CliError> {
         study.health.quarantined_total()
     );
     println!(
-        "stats: trustd: served {} requests in-process, fingerprint '{}'",
-        service.stats().served_total(),
-        service.stats().counters_fingerprint()
+        "stats: trustd: served {in_process} requests in-process, fingerprint \
+         '{in_process_fingerprint}'"
     );
     println!(
         "stats: trustd event core: {} pipelined replies over one connection ({} served)",
         replies.len(),
-        event_service.stats().served_total()
+        service.stats().served_total() - in_process
     );
     println!(
         "stats: signature memo: {hits} hits / {misses} misses ({} entries)",

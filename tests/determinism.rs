@@ -62,6 +62,11 @@ fn full_study_is_bit_identical_across_thread_counts() {
     set_thread_override(None);
 
     let (_, (json_base, text_base), trace_base, snap_base, disparity_base) = &runs[0];
+    // The value `tangled disparity 0.02` prints.
+    assert!(
+        disparity_base.contains("verdict-vector fingerprint: 8bf666e3329ff8b8"),
+        "disparity fingerprint moved"
+    );
     for (threads, (json, text), trace, snapshot, disparity) in &runs[1..] {
         assert_eq!(
             json, json_base,

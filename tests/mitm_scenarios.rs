@@ -36,6 +36,8 @@ fn scenario_report_is_deterministic_and_served_replay_matches() {
     // served replay must reproduce.
     let offline = compute(&spec).expect("compute");
     assert_eq!(offline.render(), renders[0], "ambient width agrees");
+    // The value `tangled mitm 0.02 --seed 2014` prints.
+    assert_eq!(format!("{:016x}", offline.fingerprint), "8adb30df89aa3cd3");
 
     // Attribution totality: every intercepted session is attributed to a
     // known defect class or to the locally-installed root.

@@ -9,9 +9,13 @@ use tangled_mass::analysis::Study;
 use tangled_mass::intercept::origin::OriginServers;
 use tangled_mass::intercept::policy::Target;
 use tangled_mass::pki::stores::ReferenceStore;
+use tangled_mass::snap::compact::encode_trust_state;
 use tangled_mass::snap::container::assemble;
-use tangled_mass::snap::{read_checkpoint, write_study, Journal, SectionId, Snapshot};
-use tangled_mass::trustd::replay::{canonical, compare_queries};
+use tangled_mass::snap::{
+    checkpoint_base, encode_checkpoint, encode_delta, read_checkpoint, write_study, Journal,
+    SectionId, Snapshot, SwapRecord, TrustState,
+};
+use tangled_mass::trustd::replay::{canonical, compare_queries, population, queries};
 use tangled_mass::trustd::wire::{Request, Response};
 use tangled_mass::trustd::{
     drive, offline_verdicts, start, verdict_fingerprint, EventServer, Link, ReplaySpec, Started,
@@ -296,6 +300,15 @@ fn compare_replies_match_offline_vectors_across_warm_and_degraded_starts() {
     let requests = compare_queries(&spec);
     let offline = offline_verdicts(&requests);
 
+    // The mixed plan of the same spec is what `tangled loadgen --op mixed
+    // --sessions 60 --seed 2014` replays. Its classify replies carry the
+    // `profiles` list, so the pinned value also pins `member_of`.
+    let mixed = offline_verdicts(&queries(&population(&spec), &spec));
+    assert_eq!(
+        format!("{:016x}", verdict_fingerprint(&mixed)),
+        "f82cd864d50905cb"
+    );
+
     // Live TCP replay against a cold server.
     let service = std::sync::Arc::new(TrustService::new(DEFAULT_CACHE_CAPACITY));
     let server =
@@ -452,10 +465,56 @@ fn restart_from_compacted_checkpoint_matches_uncompacted_restart() {
     assert_same_server(&from_journal, &epochs(&from_ckpt), &live);
 }
 
+/// A checkpoint built from the base's section table alone is
+/// byte-identical to the full construction: every base section read
+/// back and passed through the delta writer beside the trust-state.
+#[test]
+fn checkpoint_from_the_section_table_matches_the_full_delta() {
+    let dir = TestDir::new("ckpt-bytes");
+    let snap_path = dir.path("study.snap");
+    // What `tangled snap write <file> 0.02` writes.
+    write_study(&Study::new(0.02, 0.25), &snap_path).expect("snapshot writes");
+    let base = std::fs::read(&snap_path).expect("snapshot reads");
+    let snap = Snapshot::parse(base.clone()).expect("snapshot parses");
+    let state = TrustState::fold(&[
+        SwapRecord {
+            profile: "canary".into(),
+            epoch: 11,
+            store: ReferenceStore::Mozilla.cached().snapshot(),
+        },
+        SwapRecord {
+            profile: "AOSP 4.4".into(),
+            epoch: 12,
+            store: ReferenceStore::Ios7.cached().snapshot(),
+        },
+    ]);
+
+    let carried = [SectionId::DeltaMeta.tag(), SectionId::TrustState.tag()];
+    let mut sections: Vec<(SectionId, Vec<u8>)> = snap
+        .entries()
+        .iter()
+        .filter(|e| !carried.contains(&e.tag))
+        .map(|e| {
+            let id = SectionId::from_tag(e.tag).expect("known section");
+            (id, snap.entry_body(e).expect("intact section").to_vec())
+        })
+        .collect();
+    sections.push((SectionId::TrustState, encode_trust_state(&state)));
+    sections.sort_by_key(|(id, _)| id.tag());
+    let full = encode_delta(&sections, &base, state.epoch).expect("delta encodes");
+    assert_eq!(full.changed, ["trust-state"]);
+    assert_eq!(full.reused.len(), snap.entries().len());
+    assert_eq!(
+        encode_checkpoint(Some(&checkpoint_base(&snap)), &state),
+        full.bytes
+    );
+}
+
 /// A warm start that quarantined a non-store section still compacts:
-/// its checkpoints are base-less (the damaged base cannot be re-read
-/// section by section), and the restart from that checkpoint serves the
-/// live server's epochs and verdicts.
+/// its checkpoints are base-less (a checkpoint reuses every base section
+/// by checksum, so a damaged base could not be materialised under it),
+/// and the restart from that checkpoint serves the live server's epochs
+/// and verdicts.
 #[test]
 fn compaction_after_a_degraded_start_restarts_from_its_checkpoint() {
     let dir = TestDir::new("degraded-compact");
