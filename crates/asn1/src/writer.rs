@@ -154,25 +154,6 @@ impl DerWriter {
         self.tlv(Tag::UTF8_STRING, s.as_bytes());
     }
 
-    /// Write a PrintableString.
-    ///
-    /// # Panics
-    /// Panics (debug) if `s` contains characters outside the
-    /// PrintableString repertoire.
-    pub fn printable_string(&mut self, s: &str) {
-        debug_assert!(
-            s.bytes().all(is_printable_char),
-            "not a PrintableString: {s:?}"
-        );
-        self.tlv(Tag::PRINTABLE_STRING, s.as_bytes());
-    }
-
-    /// Write an IA5String (ASCII).
-    pub fn ia5_string(&mut self, s: &str) {
-        debug_assert!(s.is_ascii(), "IA5String must be ASCII");
-        self.tlv(Tag::IA5_STRING, s.as_bytes());
-    }
-
     /// Write a time value, choosing UTCTime for years 1950–2049 and
     /// GeneralizedTime otherwise, per RFC 5280 §4.1.2.5.
     pub fn time(&mut self, t: &Time) {

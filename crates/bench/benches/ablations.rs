@@ -4,8 +4,7 @@
 //!    dedup counts and throughput.
 //! 2. Store diff: hash join vs sorted merge across store sizes.
 //! 3. Chain building: subject-indexed vs naive quadratic scan.
-//! 4. Validation counting: issuer-memoised vs full re-verification.
-//! 5. Modular exponentiation: Montgomery fast path vs generic
+//! 4. Modular exponentiation: Montgomery fast path vs generic
 //!    square-and-multiply (even modulus forces the generic path).
 //!
 //! ```text
@@ -18,7 +17,7 @@ use tangled_bench::criterion;
 use tangled_crypto::modular::mod_pow;
 use tangled_crypto::{SplitMix64, Uint};
 use tangled_notary::ecosystem::EcosystemSpec;
-use tangled_notary::{Ecosystem, ValidationIndex};
+use tangled_notary::Ecosystem;
 use tangled_pki::diff::{diff, diff_sorted_merge, distinct_count, IdentityMode};
 use tangled_pki::factory::CaFactory;
 use tangled_pki::store::RootStore;
@@ -32,7 +31,6 @@ fn main() {
     ablate_identity(&mut c);
     ablate_diff(&mut c);
     ablate_chain(&mut c);
-    ablate_validation(&mut c);
     ablate_modpow(&mut c);
 
     c.final_summary();
@@ -155,24 +153,7 @@ fn ablate_chain(c: &mut Criterion) {
     });
 }
 
-/// Ablation 4 — validation-index construction with and without the
-/// issuer-memoisation shortcut.
-fn ablate_validation(c: &mut Criterion) {
-    let eco = Ecosystem::generate(&EcosystemSpec::scaled(0.05));
-    println!(
-        "ablation: validation over {} certificates ({} non-expired)",
-        eco.len(),
-        eco.non_expired()
-    );
-    c.bench_function("ablation_validation/memoised", |b| {
-        b.iter(|| black_box(ValidationIndex::build(&eco).validated_total()))
-    });
-    c.bench_function("ablation_validation/full_reverify", |b| {
-        b.iter(|| black_box(ValidationIndex::build_unmemoised(&eco).validated_total()))
-    });
-}
-
-/// Ablation 5 — Montgomery vs generic modular exponentiation. RSA moduli
+/// Ablation 4 — Montgomery vs generic modular exponentiation. RSA moduli
 /// are odd (Montgomery path); an even modulus of the same size forces the
 /// generic divrem-per-step path.
 fn ablate_modpow(c: &mut Criterion) {

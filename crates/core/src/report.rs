@@ -39,11 +39,6 @@ impl TextTable {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience for `&str` cells.
-    pub fn row_str(&mut self, cells: &[&str]) {
-        self.row(&cells.iter().map(|c| (*c).to_owned()).collect::<Vec<_>>());
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -119,8 +114,8 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = TextTable::new("Table X: demo", &["Store", "Certs"]);
-        t.row_str(&["AOSP 4.4", "150"]);
-        t.row_str(&["Mozilla", "153"]);
+        t.row(&["AOSP 4.4".into(), "150".into()]);
+        t.row(&["Mozilla".into(), "153".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[0], "Table X: demo");
@@ -136,7 +131,7 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn rejects_ragged_rows() {
         let mut t = TextTable::new("t", &["a", "b"]);
-        t.row_str(&["only-one"]);
+        t.row(&["only-one".into()]);
     }
 
     #[test]

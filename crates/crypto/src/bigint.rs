@@ -38,15 +38,6 @@ impl Uint {
         }
     }
 
-    /// Construct from a primitive `u128`.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        let mut u = Uint { limbs: vec![lo, hi] };
-        u.normalize();
-        u
-    }
-
     /// Construct from little-endian limbs (normalizing).
     pub fn from_limbs(limbs: Vec<u64>) -> Self {
         let mut u = Uint { limbs };
@@ -202,11 +193,6 @@ impl Uint {
             out.push(carry);
         }
         Uint::from_limbs(out)
-    }
-
-    /// `self + v` for a small addend.
-    pub fn add_u64(&self, v: u64) -> Uint {
-        self.add(&Uint::from_u64(v))
     }
 
     /// `self - other`; returns `None` when the result would be negative.
@@ -528,7 +514,7 @@ mod tests {
     fn carry_propagation() {
         let max = Uint::from_u64(u64::MAX);
         let sum = max.add(&Uint::one());
-        assert_eq!(sum, Uint::from_u128(1u128 << 64));
+        assert_eq!(sum, Uint::from_limbs(vec![0, 1]));
         assert_eq!(sum.bit_len(), 65);
         let prod = max.mul(&max);
         // (2^64-1)^2 = 2^128 - 2^65 + 1
@@ -623,7 +609,7 @@ mod tests {
     #[test]
     fn ordering() {
         assert!(u(2) < u(3));
-        assert!(Uint::from_u128(1 << 64) > Uint::from_u64(u64::MAX));
+        assert!(Uint::from_limbs(vec![0, 1]) > Uint::from_u64(u64::MAX));
         assert_eq!(u(7).cmp(&u(7)), Ordering::Equal);
     }
 

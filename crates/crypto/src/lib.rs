@@ -9,7 +9,7 @@
 //! * modular arithmetic (modpow, modular inverse) ([`modular`]),
 //! * Miller–Rabin primality testing and prime generation ([`prime`]),
 //! * RSA key generation, PKCS#1 v1.5 signing and verification ([`rsa`]),
-//! * SHA-1 and SHA-256 ([`sha1`], [`sha256`]) and HMAC ([`hmac`]),
+//! * SHA-1 and SHA-256 ([`sha1`], [`sha256`]),
 //! * a small deterministic PRNG ([`rng::SplitMix64`]) so key generation is
 //!   reproducible from a seed,
 //! * the workspace's shared non-cryptographic hashes ([`hash`]): FNV-1a
@@ -28,7 +28,6 @@
 
 pub mod bigint;
 pub mod hash;
-pub mod hmac;
 pub mod modular;
 pub mod prime;
 pub mod rng;

@@ -1,4 +1,4 @@
-//! Modular arithmetic: addition, multiplication, exponentiation and
+//! Modular arithmetic: subtraction, multiplication, exponentiation and
 //! inversion over [`Uint`] operands.
 //!
 //! Exponentiation modulo an odd number (every RSA modulus and every
@@ -8,11 +8,6 @@
 
 use crate::bigint::Uint;
 use crate::CryptoError;
-
-/// `(a + b) mod m`.
-pub fn mod_add(a: &Uint, b: &Uint, m: &Uint) -> Result<Uint, CryptoError> {
-    a.add(b).rem(m)
-}
 
 /// `(a * b) mod m`.
 pub fn mod_mul(a: &Uint, b: &Uint, m: &Uint) -> Result<Uint, CryptoError> {
@@ -504,8 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn mod_add_mul() {
-        assert_eq!(mod_add(&u(5), &u(6), &u(7)).unwrap(), u(4));
+    fn mod_mul_reduces() {
         assert_eq!(mod_mul(&u(5), &u(6), &u(7)).unwrap(), u(2));
     }
 }

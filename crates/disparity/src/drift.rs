@@ -185,11 +185,6 @@ pub fn compute_drift(from: &Snapshot, to: &Snapshot) -> Result<DriftReport, Snap
 }
 
 impl DriftReport {
-    /// Migrated anchors in total (sum over the migration pairs).
-    pub fn migrated_anchors(&self) -> usize {
-        self.migration.iter().map(|(_, n)| n).sum()
-    }
-
     /// Render the golden text report. Deterministic: every collection is
     /// name- or key-sorted.
     pub fn render(&self) -> String {
@@ -321,7 +316,6 @@ mod tests {
         assert!(report.removed_profiles.is_empty());
         // The churned anchors migrate k=1 -> k=0 and k=0 -> k=1.
         assert_eq!(report.migration, vec![((0, 1), 1), ((1, 0), 1)]);
-        assert_eq!(report.migrated_anchors(), 2);
 
         let text = report.render();
         assert!(text.contains("+ CN=Gain CA"), "{text}");

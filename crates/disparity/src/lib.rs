@@ -338,13 +338,6 @@ fn short_name(name: &str) -> String {
 }
 
 impl DisparityReport {
-    /// The canonical served-reply strings, in corpus order — what a
-    /// `loadgen --op compare` replay against a live trustd must
-    /// reproduce byte for byte.
-    pub fn canonical_verdicts(&self) -> Vec<String> {
-        self.verdicts.iter().map(|v| v.canonical.clone()).collect()
-    }
-
     /// Render the golden text report. Byte-identical at any pool width.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -505,7 +498,13 @@ mod tests {
         // Fingerprint matches the canonical verdict list.
         assert_eq!(
             report.fingerprint,
-            verdict_fingerprint(&report.canonical_verdicts())
+            verdict_fingerprint(
+                &report
+                    .verdicts
+                    .iter()
+                    .map(|v| v.canonical.clone())
+                    .collect::<Vec<_>>()
+            )
         );
         // The rendered report carries the cross-check line.
         let text = report.render();

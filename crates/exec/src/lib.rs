@@ -22,18 +22,18 @@
 //! CLI's `--threads`), then the `TANGLED_THREADS` environment variable,
 //! then [`std::thread::available_parallelism`].
 //!
-//! [`StripedMap`] complements the pool: a lock-striped hash map for memo
-//! tables shared across shards (chain verdicts, signature checks). Striping
-//! keeps contention low; memoised values must be pure functions of their
-//! key, which makes the map's fill order — the only nondeterministic thing
-//! about it — unobservable in results.
+//! [`StripedMap`] complements the pool: a lock-striped, bounded hash map
+//! for a memo table shared across shards (the process-wide signature
+//! memo). Striping keeps contention low; memoised values must be pure
+//! functions of their key, which makes the map's fill order — the only
+//! nondeterministic thing about it — unobservable in results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod stripe;
 
-pub use stripe::{StripedMap, DEFAULT_STRIPES};
+pub use stripe::StripedMap;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

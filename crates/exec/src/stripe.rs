@@ -3,8 +3,8 @@
 //! A [`StripedMap`] spreads entries over N independently locked stripes by
 //! key hash, so shards running on different threads rarely contend even
 //! when they share one memo. The map is *value-deterministic*: callers
-//! must only insert values that are pure functions of their key (chain
-//! verdicts, signature checks). Under that contract, which thread computes
+//! must only insert values that are pure functions of their key (the
+//! signature memo's verdicts). Under that contract, which thread computes
 //! an entry first — the only racy thing here — cannot be observed in any
 //! result, and a compute race at worst duplicates work, never corrupts it.
 
@@ -13,9 +13,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Default stripe count: comfortably above any realistic pool width.
-pub const DEFAULT_STRIPES: usize = 64;
 
 /// A lock-striped concurrent memo map.
 pub struct StripedMap<K, V> {
@@ -28,13 +25,9 @@ pub struct StripedMap<K, V> {
 }
 
 impl<K: Hash + Eq, V: Clone> StripedMap<K, V> {
-    /// A map with `stripes` stripes (minimum 1) and no entry bound.
-    pub fn new(stripes: usize) -> StripedMap<K, V> {
-        StripedMap::bounded(stripes, usize::MAX)
-    }
-
-    /// A map whose stripes each hold at most `stripe_cap` entries; a full
-    /// stripe is flushed wholesale before admitting the next entry.
+    /// A map with `stripes` stripes (minimum 1), each holding at most
+    /// `stripe_cap` entries; a full stripe is flushed wholesale before
+    /// admitting the next entry.
     pub fn bounded(stripes: usize, stripe_cap: usize) -> StripedMap<K, V> {
         StripedMap {
             stripes: (0..stripes.max(1)).map(|_| Mutex::new(HashMap::new())).collect(),
@@ -57,36 +50,20 @@ impl<K: Hash + Eq, V: Clone> StripedMap<K, V> {
     /// same key may both compute, and the first insert wins (identical
     /// values by the purity contract, so the winner is unobservable).
     pub fn get_or_insert_with<F: FnOnce() -> V>(&self, key: K, make: F) -> V {
-        if let Some(v) = self.get(&key) {
+        let stripe = self.stripe_for(&key);
+        let hit = stripe.lock().expect("stripe poisoned").get(&key).cloned();
+        if let Some(v) = hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let value = make();
-        let mut stripe = self.stripe_for(&key).lock().expect("stripe poisoned");
+        let mut stripe = stripe.lock().expect("stripe poisoned");
         if stripe.len() >= self.stripe_cap && !stripe.contains_key(&key) {
             stripe.clear();
         }
         stripe.entry(key).or_insert_with(|| value.clone());
         value
-    }
-
-    /// Look up `key` without computing.
-    pub fn get(&self, key: &K) -> Option<V> {
-        let stripe = self.stripe_for(key).lock().expect("stripe poisoned");
-        let hit = stripe.get(key).cloned();
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Insert (or overwrite) an entry directly.
-    pub fn insert(&self, key: K, value: V) {
-        let mut stripe = self.stripe_for(&key).lock().expect("stripe poisoned");
-        if stripe.len() >= self.stripe_cap && !stripe.contains_key(&key) {
-            stripe.clear();
-        }
-        stripe.insert(key, value);
     }
 
     /// Total entries across stripes.
@@ -102,13 +79,7 @@ impl<K: Hash + Eq, V: Clone> StripedMap<K, V> {
         self.len() == 0
     }
 
-    /// Number of stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// Lifetime (lookup hits, compute misses). Lookups that miss without
-    /// computing (plain [`StripedMap::get`]) count in neither.
+    /// Lifetime (lookup hits, compute misses).
     pub fn counters(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -131,7 +102,7 @@ mod tests {
 
     #[test]
     fn memoises_and_counts() {
-        let map: StripedMap<u32, u32> = StripedMap::new(8);
+        let map: StripedMap<u32, u32> = StripedMap::bounded(8, usize::MAX);
         let computes = AtomicUsize::new(0);
         let make = |x: u32| {
             computes.fetch_add(1, Ordering::SeqCst);
@@ -147,7 +118,7 @@ mod tests {
 
     #[test]
     fn concurrent_fill_is_consistent() {
-        let map: StripedMap<u64, u64> = StripedMap::new(16);
+        let map: StripedMap<u64, u64> = StripedMap::bounded(16, usize::MAX);
         std::thread::scope(|scope| {
             for t in 0..8 {
                 let map = &map;
@@ -161,7 +132,10 @@ mod tests {
         });
         assert_eq!(map.len(), 500);
         for i in 0..500 {
-            assert_eq!(map.get(&i), Some(i * i));
+            assert_eq!(
+                map.get_or_insert_with(i, || unreachable!("{i} was filled")),
+                i * i
+            );
         }
     }
 
@@ -170,27 +144,24 @@ mod tests {
         // One stripe, cap 4: the fifth distinct key flushes the stripe.
         let map: StripedMap<u32, u32> = StripedMap::bounded(1, 4);
         for i in 0..4 {
-            map.insert(i, i);
+            map.get_or_insert_with(i, || i);
         }
         assert_eq!(map.len(), 4);
-        map.insert(99, 99);
+        map.get_or_insert_with(99, || 99);
         assert_eq!(map.len(), 1, "cap flush keeps only the newcomer");
-        assert_eq!(map.get(&99), Some(99));
-        // Existing keys update in place without flushing.
-        map.insert(99, 100);
-        assert_eq!(map.get(&99), Some(100));
+        // A hit on a held key at the cap neither recomputes nor flushes.
+        assert_eq!(map.get_or_insert_with(99, || 100), 99);
         assert_eq!(map.len(), 1);
     }
 
     #[test]
     fn clear_empties_every_stripe() {
-        let map: StripedMap<u32, u32> = StripedMap::new(4);
+        let map: StripedMap<u32, u32> = StripedMap::bounded(4, usize::MAX);
         for i in 0..64 {
-            map.insert(i, i);
+            map.get_or_insert_with(i, || i);
         }
         assert!(!map.is_empty());
         map.clear();
         assert!(map.is_empty());
-        assert_eq!(map.stripe_count(), 4);
     }
 }

@@ -116,11 +116,6 @@ impl ProxyPolicy {
             _ => ProxyAction::PassThrough,
         }
     }
-
-    /// Add a target to the whitelist.
-    pub fn whitelist_target(&mut self, target: Target) {
-        self.whitelist.insert(target);
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +201,7 @@ mod tests {
         let mut policy = ProxyPolicy::reality_mine();
         let t = Target::parse("www.chase.com:443").unwrap();
         assert_eq!(policy.action(&t), ProxyAction::Intercept);
-        policy.whitelist_target(t.clone());
+        policy.whitelist.insert(t.clone());
         assert_eq!(policy.action(&t), ProxyAction::PassThrough);
     }
 
@@ -215,9 +210,9 @@ mod tests {
         // Duplicate and near-duplicate entries (same domain, several
         // ports) coexist without widening or narrowing each other.
         let mut policy = ProxyPolicy::reality_mine();
-        policy.whitelist_target(Target::new("dup.example", 443));
-        policy.whitelist_target(Target::new("dup.example", 443));
-        policy.whitelist_target(Target::new("dup.example", 80));
+        policy.whitelist.insert(Target::new("dup.example", 443));
+        policy.whitelist.insert(Target::new("dup.example", 443));
+        policy.whitelist.insert(Target::new("dup.example", 80));
         assert_eq!(
             policy.action(&Target::new("dup.example", 443)),
             ProxyAction::PassThrough

@@ -148,11 +148,6 @@ impl FirmwareCache {
     pub fn new() -> FirmwareCache {
         FirmwareCache::default()
     }
-
-    /// Number of distinct firmware images composed so far.
-    pub fn distinct_images(&self) -> usize {
-        self.stores.len()
-    }
 }
 
 /// Draw the number of additional certificates a device of this
@@ -170,23 +165,6 @@ pub fn draw_addition_count(mfr: Manufacturer, ver: AndroidVersion, rng: &mut Std
     } else {
         rng.gen_range(profile.small_range.0..=profile.small_range.1)
     }
-}
-
-/// Compose (or fetch) the firmware store for a device.
-///
-/// `rng` drives the addition-count draw; the *set* of extras for a given
-/// count is deterministic in (manufacturer, version, operator), so devices
-/// of the same cell and count share an image.
-pub fn compose(
-    index: &ExtrasIndex,
-    cache: &mut FirmwareCache,
-    mfr: Manufacturer,
-    ver: AndroidVersion,
-    op: Operator,
-    rng: &mut StdRng,
-) -> Arc<RootStore> {
-    let count = draw_addition_count(mfr, ver, rng);
-    compose_with_count(index, cache, mfr, ver, op, count)
 }
 
 /// Materialise the firmware store for an already-drawn addition count.
@@ -268,13 +246,13 @@ mod tests {
         // AOSP store object for the stock ones.
         let mut stock = 0;
         for _ in 0..50 {
-            let s = compose(
+            let s = compose_with_count(
                 &index,
                 &mut cache,
                 Manufacturer::Asus,
                 AndroidVersion::V4_3,
                 Operator::Other,
-                &mut rng,
+                draw_addition_count(Manufacturer::Asus, AndroidVersion::V4_3, &mut rng),
             );
             if s.len() == 146 {
                 stock += 1;
@@ -292,13 +270,13 @@ mod tests {
         let mut big = 0;
         let n = 200;
         for _ in 0..n {
-            let s = compose(
+            let s = compose_with_count(
                 &index,
                 &mut cache,
                 Manufacturer::Htc,
                 AndroidVersion::V4_1,
                 Operator::ThreeUk,
-                &mut rng,
+                draw_addition_count(Manufacturer::Htc, AndroidVersion::V4_1, &mut rng),
             );
             let additions = s.len() - 139;
             if additions > 40 {
@@ -318,13 +296,13 @@ mod tests {
         let mut cache = FirmwareCache::new();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..100 {
-            let s = compose(
+            let s = compose_with_count(
                 &index,
                 &mut cache,
                 Manufacturer::Motorola,
                 AndroidVersion::V4_4,
                 Operator::VerizonUs,
-                &mut rng,
+                draw_addition_count(Manufacturer::Motorola, AndroidVersion::V4_4, &mut rng),
             );
             assert!(s.len() - 150 < 10, "Motorola 4.4 must stay near stock");
         }
@@ -339,13 +317,13 @@ mod tests {
         let mut certisign_devices = 0;
         let mut extended = 0;
         for _ in 0..100 {
-            let s = compose(
+            let s = compose_with_count(
                 &index,
                 &mut cache,
                 Manufacturer::Motorola,
                 AndroidVersion::V4_1,
                 Operator::VerizonUs,
-                &mut rng,
+                draw_addition_count(Manufacturer::Motorola, AndroidVersion::V4_1, &mut rng),
             );
             if s.len() > 139 {
                 extended += 1;
@@ -366,18 +344,20 @@ mod tests {
         let index = ExtrasIndex::new();
         let mut cache = FirmwareCache::new();
         let mut rng = StdRng::seed_from_u64(5);
+        let mut images = std::collections::HashSet::new();
         for _ in 0..300 {
-            compose(
+            let s = compose_with_count(
                 &index,
                 &mut cache,
                 Manufacturer::Samsung,
                 AndroidVersion::V4_4,
                 Operator::TmobileUs,
-                &mut rng,
+                draw_addition_count(Manufacturer::Samsung, AndroidVersion::V4_4, &mut rng),
             );
+            images.insert(Arc::as_ptr(&s));
         }
         // Addition counts cluster, so images are far fewer than devices.
-        assert!(cache.distinct_images() < 60);
+        assert!(images.len() < 60);
     }
 
     #[test]

@@ -1,72 +1,32 @@
-//! The Notary database view: record-keeping queries over the ecosystem.
+//! The Notary database view: the headline aggregate statistics of the
+//! ecosystem (unique certificates, non-expired count, total session
+//! volume).
 //!
-//! The paper's §5 classification asks one question of the Notary per
-//! Android root certificate: *does the Notary have any record of it?*
-//! (Figure 2's "Not recorded by ICSI Notary" class). [`NotaryDb`] answers
-//! that, and carries the headline aggregate statistics (unique
-//! certificates, non-expired count, total session volume).
+//! Figure 2's "Not recorded by ICSI Notary" class is not a lookup here:
+//! each catalogued extra carries its class, and `tangled_core::classify`
+//! files every certificate outside the catalogue as not recorded.
 
 use crate::ecosystem::{study_time, Ecosystem};
-use std::collections::HashSet;
-use tangled_pki::extras::catalogue;
-use tangled_pki::stores::{global_factory, mint_extra};
-use tangled_x509::CertIdentity;
 
 /// Query view over a generated ecosystem.
 pub struct NotaryDb {
-    recorded: HashSet<CertIdentity>,
     unique_certs: usize,
     non_expired: usize,
     total_sessions: u64,
 }
 
 impl NotaryDb {
-    /// Build the view. "Recorded" identities are every certificate that
-    /// appears in observed traffic: leaves, presented intermediates, the
-    /// issuing roots of validated chains, plus the catalogue extras whose
-    /// `notary_seen` flag marks them as occasionally seen on other ports.
+    /// Build the view.
     pub fn build(eco: &Ecosystem) -> NotaryDb {
-        let mut recorded = HashSet::new();
-        let mut total_sessions = 0u64;
-        let mut issuer_names: HashSet<String> = HashSet::new();
-
-        for cert in &eco.certs {
-            total_sessions += cert.sessions;
-            for link in &cert.chain {
-                recorded.insert(link.identity());
-            }
-            issuer_names.insert(cert.chain.last().expect("non-empty").issuer.to_string());
-        }
-        // Roots whose chains appear in traffic are recorded too.
-        for root in &eco.universe_roots {
-            if issuer_names.contains(&root.subject.to_string()) {
-                recorded.insert(root.identity());
-            }
-        }
-        // Extras flagged notary-seen (recorded from odd traffic even when
-        // they validate nothing).
-        {
-            let mut factory = global_factory().lock().expect("factory poisoned");
-            for extra in catalogue().iter().filter(|e| e.notary_seen) {
-                recorded.insert(mint_extra(&mut factory, extra).identity());
-            }
-        }
-
         NotaryDb {
-            recorded,
             unique_certs: eco.certs.len(),
             non_expired: eco
                 .certs
                 .iter()
                 .filter(|c| c.leaf().is_valid_at(study_time()))
                 .count(),
-            total_sessions,
+            total_sessions: eco.certs.iter().map(|c| c.sessions).sum(),
         }
-    }
-
-    /// Does the Notary have any record of this certificate identity?
-    pub fn has_record(&self, id: &CertIdentity) -> bool {
-        self.recorded.contains(id)
     }
 
     /// Unique certificates collected (the paper: >1.9 M at full scale of
@@ -95,34 +55,6 @@ mod tests {
         let eco = Ecosystem::generate(&EcosystemSpec::scaled(0.05));
         let db = NotaryDb::build(&eco);
         (eco, db)
-    }
-
-    #[test]
-    fn issuing_roots_are_recorded() {
-        let (_eco, db) = db();
-        let mut f = global_factory().lock().unwrap();
-        // The busiest shared root issues traffic — recorded.
-        let top = f.root(&tangled_pki::stores::shared_exact_name(1));
-        assert!(db.has_record(&top.identity()));
-        // A dead-weight shared root never appears in traffic.
-        let dead = f.root(&tangled_pki::stores::shared_exact_name(110));
-        assert!(!db.has_record(&dead.identity()));
-    }
-
-    #[test]
-    fn offline_extras_not_recorded() {
-        let (_eco, db) = db();
-        let mut f = global_factory().lock().unwrap();
-        let cat = catalogue();
-        // Motorola FOTA (pinned notary_seen = false) has no record.
-        let fota = cat.iter().find(|e| e.hint == "bae1df7c").unwrap();
-        assert!(!fota.notary_seen);
-        let cert = mint_extra(&mut f, fota);
-        assert!(!db.has_record(&cert.identity()));
-        // GlobalSign (store member, seen) is recorded.
-        let gs = cat.iter().find(|e| e.hint == "da0ee699").unwrap();
-        let cert = mint_extra(&mut f, gs);
-        assert!(db.has_record(&cert.identity()));
     }
 
     #[test]

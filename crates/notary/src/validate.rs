@@ -10,9 +10,9 @@ use crate::ecosystem::{study_time, Ecosystem, NotaryCert};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use tangled_exec::{fixed_shard_count, shard_range, ExecPool, StripedMap};
+use tangled_exec::{fixed_shard_count, shard_range, ExecPool};
 use tangled_pki::store::RootStore;
-use tangled_x509::{CertIdentity, ChainKey, ChainOptions, ChainVerifier};
+use tangled_x509::{CertIdentity, ChainOptions, ChainVerifier};
 
 /// Per-root validation tallies over the Notary population.
 pub struct ValidationIndex {
@@ -30,33 +30,22 @@ impl ValidationIndex {
     ///
     /// The population is cut into a fixed number of contiguous shards
     /// (independent of thread count) and the shards are validated on the
-    /// ambient [`ExecPool`], sharing a lock-striped issuer→anchor memo: all
-    /// leaves of one CA anchor identically ([`ChainKey`] is the same memo
-    /// key the trustd serving cache uses), so whichever shard reaches an
-    /// issuer class first pays for the chain build and every other shard
-    /// replays the verdict. Anchoring is a pure function of the key, so the
-    /// fill-order race is unobservable in results — tallies merge in shard
-    /// order and the index is bit-identical at any thread count.
+    /// ambient [`ExecPool`]. Every leaf runs full path construction; the
+    /// one cache underneath is the process-wide signature memo
+    /// ([`tangled_x509::sigmemo`]), whose verdicts are pure functions of
+    /// their key, so its fill order is unobservable. Tallies merge in
+    /// shard order and the index is bit-identical at any thread count.
     pub fn build(eco: &Ecosystem) -> ValidationIndex {
-        Self::build_inner(eco, true, &ExecPool::current())
-    }
-
-    /// As [`ValidationIndex::build`] but without the issuer memoisation —
-    /// every chain runs full path construction and signature verification.
-    pub fn build_unmemoised(eco: &Ecosystem) -> ValidationIndex {
-        Self::build_inner(eco, false, &ExecPool::current())
+        Self::build_with_pool(eco, &ExecPool::current())
     }
 
     /// As [`ValidationIndex::build`] but on an explicit pool — the
     /// determinism tests pin widths without touching process-global state.
-    pub fn build_with_pool(eco: &Ecosystem, pool: &ExecPool) -> ValidationIndex {
-        Self::build_inner(eco, true, pool)
-    }
-
-    /// The build. Per-shard latencies go to the registry histogram
+    ///
+    /// Per-shard latencies go to the registry histogram
     /// `notary.validate.shard_us` (`tangled stats` prints its p50/p99);
     /// the timings are observational and do not influence the index.
-    fn build_inner(eco: &Ecosystem, memoise: bool, pool: &ExecPool) -> ValidationIndex {
+    pub fn build_with_pool(eco: &Ecosystem, pool: &ExecPool) -> ValidationIndex {
         // Shard boundaries depend on the cert count alone, so the span and
         // its per-shard point events are width-invariant; only the timings
         // (registry histograms) vary run to run.
@@ -77,20 +66,12 @@ impl ValidationIndex {
         let verifier = verifier;
         let opts = ChainOptions::at(study_time());
 
-        let memo: StripedMap<ChainKey, Option<CertIdentity>> =
-            StripedMap::new(tangled_exec::DEFAULT_STRIPES);
-
         let shards = fixed_shard_count(eco.certs.len());
         let ranges: Vec<_> = (0..shards)
             .map(|s| shard_range(eco.certs.len(), shards, s))
             .collect();
         let tallies = pool.par_map_indexed(&ranges, |_, range| {
-            tally_shard(
-                &eco.certs[range.clone()],
-                &verifier,
-                opts,
-                memoise.then_some(&memo),
-            )
+            tally_shard(&eco.certs[range.clone()], &verifier, opts)
         });
 
         // Merge in ascending shard order. Every field is an order-
@@ -162,15 +143,6 @@ impl ValidationIndex {
     /// 66-billion-session view, scaled).
     pub fn root_sessions(&self, id: &CertIdentity) -> u64 {
         self.per_root_sessions.get(id).copied().unwrap_or(0)
-    }
-
-    /// Session volume anchored by any TLS-trusted root of a store.
-    pub fn store_sessions(&self, store: &RootStore) -> u64 {
-        store
-            .iter_enabled()
-            .filter(|a| a.trusts_tls())
-            .map(|a| self.root_sessions(&a.identity()))
-            .sum()
     }
 
     /// Total session volume over the non-expired population.
@@ -270,12 +242,7 @@ struct ShardTally {
     micros: u64,
 }
 
-fn tally_shard(
-    certs: &[NotaryCert],
-    verifier: &ChainVerifier,
-    opts: ChainOptions,
-    memo: Option<&StripedMap<ChainKey, Option<CertIdentity>>>,
-) -> ShardTally {
+fn tally_shard(certs: &[NotaryCert], verifier: &ChainVerifier, opts: ChainOptions) -> ShardTally {
     let started = Instant::now();
     let mut tally = ShardTally::default();
     for cert in certs {
@@ -286,23 +253,8 @@ fn tally_shard(
         tally.total_non_expired += 1;
         tally.total_sessions += cert.sessions;
 
-        let anchor = match memo {
-            Some(memo) => memo.get_or_insert_with(
-                ChainKey::issuer_class(leaf, cert.chain.len()),
-                || {
-                    verifier
-                        .verify(leaf, opts)
-                        .ok()
-                        .map(|chain| chain.anchor().identity())
-                },
-            ),
-            None => verifier
-                .verify(leaf, opts)
-                .ok()
-                .map(|chain| chain.anchor().identity()),
-        };
-
-        if let Some(anchor_id) = anchor {
+        if let Ok(chain) = verifier.verify(leaf, opts) {
+            let anchor_id = chain.anchor().identity();
             *tally.per_root.entry(anchor_id.clone()).or_default() += 1;
             *tally.per_root_sessions.entry(anchor_id).or_default() += cert.sessions;
             tally.validated_total += 1;
@@ -368,20 +320,9 @@ mod tests {
             for rs in ReferenceStore::ALL {
                 let store = rs.cached();
                 assert_eq!(idx.store_count(&store), base.store_count(&store));
-                assert_eq!(idx.store_sessions(&store), base.store_sessions(&store));
             }
-        }
-    }
-
-    #[test]
-    fn memoised_matches_unmemoised() {
-        let eco = Ecosystem::generate(&EcosystemSpec::scaled(0.02));
-        let fast = ValidationIndex::build(&eco);
-        let slow = ValidationIndex::build_unmemoised(&eco);
-        assert_eq!(fast.validated_total(), slow.validated_total());
-        for rs in ReferenceStore::ALL {
-            let store = rs.cached();
-            assert_eq!(fast.store_count(&store), slow.store_count(&store));
+            assert_eq!(idx.per_root(), base.per_root(), "width {width}");
+            assert_eq!(idx.per_root_sessions(), base.per_root_sessions());
         }
     }
 

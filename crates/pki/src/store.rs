@@ -130,20 +130,6 @@ impl RootStore {
         &self.order
     }
 
-    /// Anchors coming from a given provenance.
-    pub fn by_source(&self, source: AnchorSource) -> Vec<&TrustAnchor> {
-        self.iter().filter(|a| a.source == source).collect()
-    }
-
-    /// Count of anchors per provenance, in [`AnchorSource`] order.
-    pub fn source_histogram(&self) -> Vec<(AnchorSource, usize)> {
-        use crate::trust::AnchorSource::*;
-        [Aosp, Manufacturer, Operator, User, RootApp, Unknown]
-            .into_iter()
-            .map(|s| (s, self.iter().filter(|a| a.source == s).count()))
-            .collect()
-    }
-
     /// A deep copy under a new name (firmware images start as copies of an
     /// AOSP store).
     pub fn cloned_as(&self, name: &str) -> RootStore {
@@ -444,19 +430,6 @@ mod tests {
         assert!(s.set_trust(&ids[0], TrustBits::tls_only()));
         let a = s.get(&ids[0]).unwrap();
         assert!(a.trust.tls_server && !a.trust.code_signing);
-    }
-
-    #[test]
-    fn source_histogram_counts() {
-        let mut f = CaFactory::new();
-        let mut s = RootStore::new("hist");
-        s.add_cert(f.root("H1"), AnchorSource::Aosp);
-        s.add_cert(f.root("H2"), AnchorSource::Aosp);
-        s.add_cert(f.root("H3"), AnchorSource::Operator);
-        let hist: HashMap<_, _> = s.source_histogram().into_iter().collect();
-        assert_eq!(hist[&AnchorSource::Aosp], 2);
-        assert_eq!(hist[&AnchorSource::Operator], 1);
-        assert_eq!(hist[&AnchorSource::RootApp], 0);
     }
 
     #[test]

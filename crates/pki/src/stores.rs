@@ -334,8 +334,6 @@ fn extras(pick: fn(&ExtraCert) -> bool) -> impl Iterator<Item = Entry> {
 pub const SHARED_EXACT: usize = 117;
 /// Anchors equivalent (same subject + modulus) but re-issued between them.
 pub const SHARED_REISSUED: usize = 13;
-/// AOSP 4.4 members absent from Mozilla.
-pub const AOSP_ONLY: usize = 20;
 /// Mozilla synthetic members absent from AOSP and from the extras list.
 pub const MOZILLA_ONLY_SYNTHETIC: usize = 7;
 /// iOS-7-only synthetic members.

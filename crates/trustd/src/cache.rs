@@ -104,8 +104,10 @@ impl<K: Clone + Eq + Hash, V: Clone> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Keys in most-recently-used-first order (test introspection).
-    pub fn keys_mru(&self) -> Vec<K> {
+    /// Keys in most-recently-used-first order: the tests' one view of
+    /// the list links.
+    #[cfg(test)]
+    fn keys_mru(&self) -> Vec<K> {
         let mut out = Vec::with_capacity(self.map.len());
         let mut cur = self.head;
         while let Some(idx) = cur {

@@ -13,7 +13,6 @@ use crate::name::DistinguishedName;
 use crate::X509Error;
 use tangled_asn1::{DerReader, Oid, Time};
 use tangled_crypto::rsa::{RsaPublicKey, SignatureAlgorithm};
-use tangled_crypto::sha1::sha1;
 use tangled_crypto::sha256::sha256;
 use tangled_crypto::Uint;
 
@@ -133,11 +132,6 @@ impl Certificate {
     /// SHA-256 fingerprint of the full DER encoding.
     pub fn fingerprint_sha256(&self) -> [u8; 32] {
         sha256(&self.raw)
-    }
-
-    /// SHA-1 fingerprint of the full DER encoding.
-    pub fn fingerprint_sha1(&self) -> [u8; 20] {
-        sha1(&self.raw)
     }
 
     /// The paper's certificate identity: subject string + RSA key modulus.

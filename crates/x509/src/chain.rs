@@ -30,20 +30,10 @@ use tangled_crypto::sha256::sha256;
 
 /// Memoisation key for chain-validation results.
 ///
-/// Two granularities share this one type so every cache in the workspace
-/// keys verification work the same way:
-///
-/// * [`ChainKey::exact`] fingerprints a *presented chain* — leaf plus
-///   intermediates, order-sensitive, byte-exact. Two requests carrying the
-///   same certificates produce the same key, so a verification memo keyed
-///   on it may replay the earlier outcome without re-running signatures.
-/// * [`ChainKey::issuer_class`] collapses all leaves that share an issuer
-///   and presented-chain length into one key — the Notary validation
-///   shortcut: every leaf of one CA anchors identically, so one
-///   verification answers for the whole class.
-///
-/// The two constructors are domain-separated; an exact key never collides
-/// with an issuer-class key.
+/// [`ChainKey::exact`] fingerprints a *presented chain* — leaf plus
+/// intermediates, order-sensitive, byte-exact. Two requests carrying the
+/// same certificates produce the same key, so a verification memo keyed
+/// on it may replay the earlier outcome without re-running signatures.
 ///
 /// Keys are totally ordered (byte-lexicographic on the digest), so maps
 /// keyed on `ChainKey` — the disparity engine's per-chain verdict
@@ -63,18 +53,6 @@ impl ChainKey {
         for cert in certs {
             data.extend_from_slice(&cert.fingerprint_sha256());
         }
-        ChainKey(sha256(&data))
-    }
-
-    /// Issuer-class fingerprint: one key per (leaf issuer, presented-chain
-    /// length) equivalence class. The issuer enters as its DER, so two
-    /// issuers that render alike but differ in structure stay apart.
-    pub fn issuer_class(leaf: &Certificate, presented_len: usize) -> ChainKey {
-        let mut data = Vec::with_capacity(64);
-        data.extend_from_slice(b"chain-key/issuer\0");
-        data.extend_from_slice(&leaf.issuer.to_der());
-        data.push(0);
-        data.extend_from_slice(&(presented_len as u64).to_be_bytes());
         ChainKey(sha256(&data))
     }
 
@@ -291,7 +269,6 @@ pub struct ChainVerifier {
     intermediates_by_subject: NameIndex,
     blacklisted_keys: std::collections::HashSet<Vec<u8>>,
     n_anchors: usize,
-    n_intermediates: usize,
 }
 
 impl ChainVerifier {
@@ -316,7 +293,6 @@ impl ChainVerifier {
             .entry(name_key(&cert.subject))
             .or_default()
             .push(cert);
-        self.n_intermediates += 1;
     }
 
     /// Blacklist a public key by its modulus bytes — the platform-level
@@ -326,11 +302,6 @@ impl ChainVerifier {
     /// would otherwise trust it.
     pub fn blacklist_key(&mut self, key: &tangled_crypto::rsa::RsaPublicKey) {
         self.blacklisted_keys.insert(key.modulus.to_be_bytes());
-    }
-
-    /// Number of blacklisted keys.
-    pub fn blacklist_len(&self) -> usize {
-        self.blacklisted_keys.len()
     }
 
     fn is_blacklisted(&self, cert: &Certificate) -> bool {
@@ -343,11 +314,6 @@ impl ChainVerifier {
     /// Number of trust anchors installed.
     pub fn anchor_count(&self) -> usize {
         self.n_anchors
-    }
-
-    /// Number of intermediates in the pool.
-    pub fn intermediate_count(&self) -> usize {
-        self.n_intermediates
     }
 
     /// Build and verify a chain from `leaf` to any trust anchor, with the
@@ -864,7 +830,6 @@ mod tests {
         // Before blacklisting: verifies.
         assert!(v.verify(&f.leaf, ChainOptions::at(at())).is_ok());
         v.blacklist_key(&f.leaf.public_key);
-        assert_eq!(v.blacklist_len(), 1);
         assert_eq!(
             v.verify(&f.leaf, ChainOptions::at(at())).unwrap_err(),
             ChainError::Blacklisted
@@ -950,7 +915,7 @@ mod tests {
     }
 
     #[test]
-    fn chain_key_distinguishes_chains_and_constructors() {
+    fn chain_key_distinguishes_chains() {
         let f = fixture();
         let full = [&*f.leaf, &*f.intermediate];
         let k1 = ChainKey::exact(full);
@@ -965,22 +930,6 @@ mod tests {
             k1,
             ChainKey::exact([&*f.intermediate, &*f.leaf]),
             "order matters"
-        );
-        // Domain separation between the two constructors.
-        assert_ne!(k1, ChainKey::issuer_class(&f.leaf, 2));
-        // Issuer-class keys collapse same-issuer leaves…
-        assert_eq!(
-            ChainKey::issuer_class(&f.leaf, 2),
-            ChainKey::issuer_class(&f.leaf, 2)
-        );
-        // …but separate by presented length and by issuer.
-        assert_ne!(
-            ChainKey::issuer_class(&f.leaf, 2),
-            ChainKey::issuer_class(&f.leaf, 3)
-        );
-        assert_ne!(
-            ChainKey::issuer_class(&f.leaf, 2),
-            ChainKey::issuer_class(&f.intermediate, 2)
         );
         assert_eq!(k1.to_hex().len(), 64);
         assert_eq!(format!("{k1:?}").len(), "ChainKey(".len() + 16 + 1);
@@ -1036,21 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn issuer_class_keys_names_exactly() {
-        let (structured, flat) = rendering_twins();
-        let kp = RsaKeyPair::generate(512, &mut SplitMix64::new(253)).unwrap();
-        let leaf_under = |issuer: DistinguishedName| {
-            CertificateBuilder::new(issuer, DistinguishedName::common_name("l"), nb(), na())
-                .sign(kp.public_key(), &kp)
-                .unwrap()
-        };
-        assert_ne!(
-            ChainKey::issuer_class(&leaf_under(structured), 2),
-            ChainKey::issuer_class(&leaf_under(flat), 2)
-        );
-    }
-
-    #[test]
     fn presented_intermediates_are_an_overlay_for_one_call() {
         let f = fixture();
         let mut anchors = ChainVerifier::new();
@@ -1062,7 +996,6 @@ mod tests {
         assert_eq!(overlay.len(), pooled.len());
         assert_eq!(overlay.anchor().subject, pooled.anchor().subject);
         // The overlay is not kept: the verifier still has no intermediate.
-        assert_eq!(anchors.intermediate_count(), 0);
         assert_eq!(
             anchors.verify(&f.leaf, opts).unwrap_err(),
             ChainError::NoPathToTrustAnchor

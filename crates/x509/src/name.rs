@@ -8,7 +8,7 @@
 //! [`std::fmt::Display`] rendering here is the canonical string form used
 //! throughout the workspace.
 
-use tangled_asn1::{Asn1Error, DerReader, DerWriter, Oid, Tag};
+use tangled_asn1::{Asn1Error, DerReader, DerWriter, Oid};
 
 /// One attribute of a name: type OID plus string value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,16 +29,6 @@ impl DistinguishedName {
     /// The empty name.
     pub fn empty() -> Self {
         DistinguishedName::default()
-    }
-
-    /// Build a name from `(oid, value)` pairs, in order.
-    pub fn from_attributes(attrs: Vec<(Oid, String)>) -> Self {
-        DistinguishedName {
-            attributes: attrs
-                .into_iter()
-                .map(|(oid, value)| NameAttribute { oid, value })
-                .collect(),
-        }
     }
 
     /// Convenience constructor: `CN=<cn>`.
@@ -226,11 +216,6 @@ impl std::fmt::Display for DistinguishedName {
     }
 }
 
-/// A dummy tag referenced by doc text; keeps `Tag` import used when the
-/// crate is built without tests.
-#[allow(dead_code)]
-const _: Tag = Tag::SEQUENCE;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,10 +266,12 @@ mod tests {
 
     #[test]
     fn unknown_attribute_renders_as_oid() {
-        let dn = DistinguishedName::from_attributes(vec![(
-            Oid::new(&[1, 3, 6, 1, 4, 1, 99999, 1]),
-            "custom".into(),
-        )]);
+        let dn = DistinguishedName {
+            attributes: vec![NameAttribute {
+                oid: Oid::new(&[1, 3, 6, 1, 4, 1, 99999, 1]),
+                value: "custom".into(),
+            }],
+        };
         assert_eq!(dn.to_string(), "1.3.6.1.4.1.99999.1=custom");
         let der = dn.to_der();
         assert_eq!(DistinguishedName::from_der(&der).unwrap(), dn);

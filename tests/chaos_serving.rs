@@ -80,6 +80,43 @@ fn ci_chaos_spec_ledger_is_golden() {
     );
 }
 
+/// The same spec through the `tangled chaos` binary, at pool widths 1
+/// and 4: the ledger files are byte-equal and their sha256 is pinned
+/// across commits, stdout reports zero violations and the conservation
+/// invariant, and the ledger records it.
+#[test]
+fn ci_chaos_spec_ledger_file_is_golden_at_every_width() {
+    let mut ledgers = Vec::new();
+    for threads in ["1", "4"] {
+        let path = temp_path(&format!("ci-ledger-t{threads}"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tangled"))
+            .args(["--threads", threads, "chaos", "--seed", "42"])
+            .args(["--requests", "120", "--rate", "0.25", "--busy-rate", "0.1"])
+            .args(["--out", &path])
+            .output()
+            .expect("spawn tangled chaos");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "tangled chaos failed:\n{stdout}");
+        assert!(stdout.contains("violations=0"), "{stdout}");
+        assert!(stdout.contains("conservation invariant holds"), "{stdout}");
+        let ledger = std::fs::read(&path).expect("ledger written");
+        std::fs::remove_file(&path).ok();
+        assert!(
+            String::from_utf8_lossy(&ledger).contains("conservation: ok"),
+            "ledger lacks the conservation line"
+        );
+        ledgers.push(ledger);
+    }
+    assert_eq!(
+        ledgers[0], ledgers[1],
+        "ledger bytes depend on the pool width"
+    );
+    assert_eq!(
+        tangled_mass::crypto::sha256::hex(&tangled_mass::crypto::sha256::sha256(&ledgers[0])),
+        "843734f7ffad6a7ab3e26f24bfac0c85459d5fd53812faba9f7c4272dd82a829"
+    );
+}
+
 /// Lossy wire faults over *real* TCP: the resilient client retries
 /// through disconnects, partial writes and trickled bytes, and the
 /// served verdicts still match the offline run byte for byte — faults

@@ -6,11 +6,29 @@
 
 use tangled_mass::analysis::export::export_study;
 use tangled_mass::analysis::{figures, tables, Study};
+use tangled_mass::crypto::hash::fnv1a;
 use tangled_mass::faults::FaultPlan;
 
 fn degraded() -> Study {
     let plan = FaultPlan::new(0xFA17).with_rate(0.05);
     Study::with_faults(0.25, 0.25, &plan)
+}
+
+/// The faulted study the benchmark times (scale 0.2, plan seed 2014 at
+/// rate 0.05) is pinned by the FNV-1a digest of its rendered tables and
+/// health ledger. Tables 3 and 4 and Figure 3 come from the Notary
+/// validation build, so a change there that moves any count shows here.
+#[test]
+fn pinned_study_digest_is_golden() {
+    let study = Study::with_faults(0.2, 0.2, &FaultPlan::new(2014).with_rate(0.05));
+    let mut text = tables::render_all(&study);
+    text.push('\n');
+    text.push_str(&study.health.to_string());
+    assert_eq!(
+        format!("{:016x}", fnv1a(text.as_bytes())),
+        "be5d9cb90585ed64",
+        "study digest moved:\n{text}"
+    );
 }
 
 #[test]
