@@ -138,7 +138,7 @@ impl Corruptor for Vec<CacertsFile> {
 mod tests {
     use super::*;
     use crate::FaultPlan;
-    use tangled_pki::cacerts::{from_cacerts, to_cacerts_pem};
+    use tangled_pki::cacerts::{from_cacerts_lenient, to_cacerts_pem};
     use tangled_pki::factory::CaFactory;
     use tangled_pki::store::RootStore;
     use tangled_pki::trust::AnchorSource;
@@ -150,6 +150,12 @@ mod tests {
             store.add_cert(f.root(cn), AnchorSource::Aosp);
         }
         to_cacerts_pem(&store)
+    }
+
+    /// Does the file's first `CERTIFICATE` block decode and parse?
+    fn decodes(text: &str) -> bool {
+        tangled_x509::pem::decode("CERTIFICATE", text)
+            .is_ok_and(|der| tangled_x509::Certificate::parse(&der).is_ok())
     }
 
     fn degrade_all(kind: FaultKind, seed: u64) -> (Vec<CacertsFile>, Vec<InjectedFault>) {
@@ -168,9 +174,12 @@ mod tests {
         for f in &files {
             assert!(f.der.starts_with(b"-----BEGIN"), "PEM routing lost");
             let text = std::str::from_utf8(&f.der).unwrap();
-            assert!(tangled_x509::pem::decode_certificate(text).is_err());
+            assert!(!decodes(text));
         }
-        assert!(from_cacerts("x", &files, AnchorSource::Aosp).is_err());
+        let (store, quarantined) = from_cacerts_lenient("x", &files, AnchorSource::Aosp);
+        assert_eq!(store.len(), 0);
+        assert_eq!(quarantined.len(), files.len());
+        assert!(quarantined.iter().all(|q| q.error.label() == "pem-armor"));
     }
 
     #[test]
@@ -179,7 +188,7 @@ mod tests {
         assert_eq!(ledger.len(), 4);
         for f in &files {
             let text = std::str::from_utf8(&f.der).unwrap();
-            assert!(tangled_x509::pem::decode_certificate(text).is_err());
+            assert!(!decodes(text));
         }
     }
 
@@ -191,7 +200,7 @@ mod tests {
             let text = std::str::from_utf8(&f.der).unwrap();
             // The armor itself still scans; the DER inside does not parse.
             assert!(tangled_x509::pem::decode("CERTIFICATE", text).is_ok());
-            assert!(tangled_x509::pem::decode_certificate(text).is_err());
+            assert!(!decodes(text));
         }
     }
 

@@ -1,9 +1,7 @@
 //! Atomic log₂-bucketed histogram.
 //!
-//! The generalised home of what used to be `trustd::stats::
-//! LatencyHistogram`: same bucket math, same percentile contract, but
-//! recording through `&self` with relaxed atomics so the exec pool and
-//! the server workers can observe into a shared histogram without a
+//! Recording goes through `&self` with relaxed atomics, so the exec pool
+//! and the server workers can observe into a shared histogram without a
 //! lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -2,9 +2,14 @@
 //!
 //! Android keeps its system root store as one file per anchor under
 //! `/system/etc/security/cacerts/`, named `<subject-hash>.<n>` (footnote 2
-//! of the paper). This module renders a [`RootStore`] into that layout and
-//! parses it back — the format third-party apps with root permissions
-//! manipulate directly in §6.
+//! of the paper), each holding one PEM-armored certificate — the format
+//! third-party apps with root permissions manipulate directly in §6.
+//!
+//! There is one writer and one reader. [`to_cacerts_pem`] renders a
+//! [`RootStore`] into that layout, armoring each anchor's own DER.
+//! [`from_cacerts_lenient`] parses a directory back, accepting PEM or raw
+//! DER contents, and quarantines every file it refuses under a
+//! [`StoreLoadError`] label instead of aborting.
 
 use crate::store::RootStore;
 use crate::trust::AnchorSource;
@@ -13,15 +18,14 @@ use std::sync::Arc;
 use tangled_crypto::sha1::sha1;
 use tangled_x509::Certificate;
 
-/// One file of the cacerts directory: name and contents. Android's real
-/// files are PEM-armored; this emulation accepts both PEM and raw DER
-/// contents and can write either.
+/// One file of the cacerts directory: name and contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacertsFile {
     /// File name, `xxxxxxxx.n` (8 hex digits of the subject hash, then a
     /// collision counter).
     pub name: String,
-    /// Certificate bytes: PEM text or raw DER.
+    /// File contents as written: PEM text from [`to_cacerts_pem`]. The
+    /// reader also accepts raw DER here, as Android's loader does.
     pub der: Vec<u8>,
 }
 
@@ -33,11 +37,11 @@ pub fn subject_hash(cert: &Certificate) -> String {
     format!("{:02x}{:02x}{:02x}{:02x}", h[0], h[1], h[2], h[3])
 }
 
-/// Render a store into the cacerts directory layout with raw DER
-/// contents. Output is sorted by file name; hash collisions get increasing
-/// `.n` suffixes, as on Android.
-pub fn to_cacerts(store: &RootStore) -> Vec<CacertsFile> {
-    let mut by_hash: BTreeMap<String, Vec<&Arc<Certificate>>> = BTreeMap::new();
+/// Render a store into the cacerts layout with PEM-armored contents — the
+/// format Android actually ships. Output is sorted by file name; hash
+/// collisions get increasing `.n` suffixes in store order, as on Android.
+pub fn to_cacerts_pem(store: &RootStore) -> Vec<CacertsFile> {
+    let mut by_hash: BTreeMap<String, Vec<&Certificate>> = BTreeMap::new();
     for anchor in store.iter() {
         by_hash
             .entry(subject_hash(&anchor.cert))
@@ -46,113 +50,18 @@ pub fn to_cacerts(store: &RootStore) -> Vec<CacertsFile> {
     }
     let mut files = Vec::with_capacity(store.len());
     for (hash, certs) in by_hash {
-        for (n, cert) in certs.iter().enumerate() {
+        for (n, cert) in certs.into_iter().enumerate() {
             files.push(CacertsFile {
                 name: format!("{hash}.{n}"),
-                der: cert.to_der().to_vec(),
+                der: tangled_x509::pem::encode_certificate(cert).into_bytes(),
             });
         }
     }
     files
 }
 
-/// Render a store into the cacerts layout with PEM-armored contents — the
-/// format Android actually ships.
-pub fn to_cacerts_pem(store: &RootStore) -> Vec<CacertsFile> {
-    to_cacerts(store)
-        .into_iter()
-        .map(|f| {
-            let cert = Certificate::parse(&f.der).expect("just serialized");
-            CacertsFile {
-                name: f.name,
-                der: tangled_x509::pem::encode_certificate(&cert).into_bytes(),
-            }
-        })
-        .collect()
-}
-
-/// Errors from reading a cacerts directory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CacertsError {
-    /// A file's contents failed to parse as a certificate.
-    BadCertificate {
-        /// Offending file name.
-        file: String,
-    },
-    /// A file name does not match the `xxxxxxxx.n` convention.
-    BadFileName {
-        /// Offending file name.
-        file: String,
-    },
-    /// A file's name hash does not match its certificate's subject.
-    HashMismatch {
-        /// Offending file name.
-        file: String,
-    },
-}
-
-impl std::fmt::Display for CacertsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CacertsError::BadCertificate { file } => {
-                write!(f, "{file}: not a valid certificate")
-            }
-            CacertsError::BadFileName { file } => {
-                write!(f, "{file}: invalid cacerts file name")
-            }
-            CacertsError::HashMismatch { file } => {
-                write!(f, "{file}: name does not match subject hash")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CacertsError {}
-
-/// Parse a cacerts directory back into a store. Every anchor is tagged with
-/// the given provenance (a reader cannot tell who wrote a file).
-pub fn from_cacerts(
-    name: &str,
-    files: &[CacertsFile],
-    source: AnchorSource,
-) -> Result<RootStore, CacertsError> {
-    let mut store = RootStore::new(name);
-    for file in files {
-        let valid_name = file.name.len() >= 10
-            && file.name.as_bytes()[8] == b'.'
-            && file.name[..8].bytes().all(|b| b.is_ascii_hexdigit())
-            && file.name[9..].bytes().all(|b| b.is_ascii_digit());
-        if !valid_name {
-            return Err(CacertsError::BadFileName {
-                file: file.name.clone(),
-            });
-        }
-        // Auto-detect PEM armor vs raw DER, like Android's cert loader.
-        let cert = if file.der.starts_with(b"-----BEGIN") {
-            std::str::from_utf8(&file.der)
-                .ok()
-                .and_then(|text| tangled_x509::pem::decode_certificate(text).ok())
-                .ok_or(CacertsError::BadCertificate {
-                    file: file.name.clone(),
-                })?
-        } else {
-            Certificate::parse(&file.der).map_err(|_| CacertsError::BadCertificate {
-                file: file.name.clone(),
-            })?
-        };
-        if subject_hash(&cert) != file.name[..8] {
-            return Err(CacertsError::HashMismatch {
-                file: file.name.clone(),
-            });
-        }
-        store.add_cert(Arc::new(cert), source);
-    }
-    Ok(store)
-}
-
-/// How one cacerts file failed to load. Unlike [`CacertsError`], which
-/// aborts a strict read, these are *quarantine* classifications: the
-/// lenient loader records one per damaged file and keeps going.
+/// How one cacerts file failed to load: the *quarantine* classification
+/// the reader records for each refused file before it keeps going.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreLoadError {
     /// File name violates the `xxxxxxxx.n` convention.
@@ -220,6 +129,7 @@ fn load_file(file: &CacertsFile) -> Result<Certificate, StoreLoadError> {
     if file.der.is_empty() {
         return Err(StoreLoadError::EmptyFile);
     }
+    // Auto-detect PEM armor vs raw DER, like Android's cert loader.
     let cert = if file.der.starts_with(b"-----BEGIN") {
         // Non-UTF-8 armor cannot contain a findable header.
         let text = std::str::from_utf8(&file.der)
@@ -236,9 +146,11 @@ fn load_file(file: &CacertsFile) -> Result<Certificate, StoreLoadError> {
     Ok(cert)
 }
 
-/// Parse a cacerts directory, skipping and recording every file that
-/// fails instead of aborting. Returns the store built from the healthy
-/// files plus the quarantine ledger, in file order.
+/// Parse a cacerts directory of PEM or raw-DER files, skipping and
+/// recording every file that fails instead of aborting. Returns the store
+/// built from the healthy files plus the quarantine ledger, in file order.
+/// Every anchor is tagged with the given provenance (a reader cannot tell
+/// who wrote a file).
 pub fn from_cacerts_lenient(
     name: &str,
     files: &[CacertsFile],
@@ -274,12 +186,40 @@ mod tests {
     use crate::factory::CaFactory;
     use crate::stores::ReferenceStore;
 
+    /// The same directory with every file's PEM armor stripped to raw DER.
+    fn der_copy(files: &[CacertsFile]) -> Vec<CacertsFile> {
+        files
+            .iter()
+            .map(|f| CacertsFile {
+                name: f.name.clone(),
+                der: tangled_x509::pem::decode(
+                    "CERTIFICATE",
+                    std::str::from_utf8(&f.der).unwrap(),
+                )
+                .unwrap(),
+            })
+            .collect()
+    }
+
+    /// Read a directory that must load without a single quarantined file.
+    fn read_clean(name: &str, files: &[CacertsFile], source: AnchorSource) -> RootStore {
+        let (store, quarantined) = from_cacerts_lenient(name, files, source);
+        assert!(quarantined.is_empty(), "quarantined: {quarantined:?}");
+        store
+    }
+
+    /// The labels the reader quarantined `files` under, in file order.
+    fn quarantine_labels(files: &[CacertsFile]) -> Vec<&'static str> {
+        let (_, quarantined) = from_cacerts_lenient("x", files, AnchorSource::Aosp);
+        quarantined.iter().map(|q| q.error.label()).collect()
+    }
+
     #[test]
     fn round_trip_aosp_store() {
         let store = ReferenceStore::Aosp41.cached();
-        let files = to_cacerts(&store);
+        let files = to_cacerts_pem(&store);
         assert_eq!(files.len(), store.len());
-        let back = from_cacerts("reread", &files, AnchorSource::Aosp).unwrap();
+        let back = read_clean("reread", &files, AnchorSource::Aosp);
         assert_eq!(back.len(), store.len());
         let orig: std::collections::BTreeSet<_> =
             store.identities().iter().cloned().collect();
@@ -291,7 +231,7 @@ mod tests {
     #[test]
     fn file_names_are_hash_dot_counter() {
         let store = ReferenceStore::Aosp41.cached();
-        for f in to_cacerts(&store) {
+        for f in to_cacerts_pem(&store) {
             assert_eq!(f.name.as_bytes()[8], b'.');
             assert!(f.name[..8].bytes().all(|b| b.is_ascii_hexdigit()));
         }
@@ -302,13 +242,22 @@ mod tests {
         let store = ReferenceStore::Aosp41.cached();
         let pem_files = to_cacerts_pem(&store);
         assert!(pem_files[0].der.starts_with(b"-----BEGIN CERTIFICATE-----"));
-        let back = from_cacerts("pem", &pem_files, AnchorSource::Aosp).unwrap();
-        assert_eq!(back.len(), store.len());
+        // The armor wraps each anchor's own DER, byte for byte.
+        let der_files = der_copy(&pem_files);
+        for f in &der_files {
+            let cert = Certificate::parse(&f.der).unwrap();
+            assert!(store.iter().any(|a| a.cert.to_der() == f.der.as_slice()));
+            assert_eq!(subject_hash(&cert), f.name[..8]);
+        }
         let orig: std::collections::BTreeSet<_> =
             store.identities().iter().cloned().collect();
-        let reread: std::collections::BTreeSet<_> =
-            back.identities().iter().cloned().collect();
-        assert_eq!(orig, reread);
+        for files in [&pem_files, &der_files] {
+            let back = read_clean("pem", files, AnchorSource::Aosp);
+            assert_eq!(back.len(), store.len());
+            let reread: std::collections::BTreeSet<_> =
+                back.identities().iter().cloned().collect();
+            assert_eq!(orig, reread);
+        }
     }
 
     #[test]
@@ -316,13 +265,11 @@ mod tests {
         let mut f = CaFactory::new();
         let mut store = RootStore::new("one");
         store.add_cert(f.root("Corrupt Test CA"), AnchorSource::Aosp);
-        let mut files = to_cacerts(&store);
+        let mut files = der_copy(&to_cacerts_pem(&store));
         files[0].der[30] ^= 0xff;
-        let err = from_cacerts("x", &files, AnchorSource::Aosp).unwrap_err();
-        assert!(matches!(
-            err,
-            CacertsError::BadCertificate { .. } | CacertsError::HashMismatch { .. }
-        ));
+        let labels = quarantine_labels(&files);
+        assert_eq!(labels.len(), 1);
+        assert!(matches!(labels[0], "malformed-der" | "hash-mismatch"));
     }
 
     #[test]
@@ -330,35 +277,29 @@ mod tests {
         let mut f = CaFactory::new();
         let mut store = RootStore::new("one");
         store.add_cert(f.root("Name Test CA"), AnchorSource::Aosp);
-        let mut files = to_cacerts(&store);
+        let mut files = to_cacerts_pem(&store);
         files[0].name = "zzzz.0".into();
-        assert!(matches!(
-            from_cacerts("x", &files, AnchorSource::Aosp).unwrap_err(),
-            CacertsError::BadFileName { .. }
-        ));
+        assert_eq!(quarantine_labels(&files), ["bad-name"]);
         // Valid shape, wrong hash.
-        let mut files2 = to_cacerts(&store);
+        let mut files2 = to_cacerts_pem(&store);
         files2[0].name = "00000000.0".into();
-        assert!(matches!(
-            from_cacerts("x", &files2, AnchorSource::Aosp).unwrap_err(),
-            CacertsError::HashMismatch { .. }
-        ));
+        assert_eq!(quarantine_labels(&files2), ["hash-mismatch"]);
     }
 
     #[test]
     fn root_app_tampering_is_visible_via_diff() {
         // The §6 scenario end-to-end at the file level: a root app drops a
-        // new file into cacerts; a diff against AOSP flags it.
+        // new raw-DER file into cacerts; a diff against AOSP flags it.
         let mut f = CaFactory::new();
         let aosp = ReferenceStore::Aosp44.cached();
-        let mut files = to_cacerts(&aosp);
+        let mut files = to_cacerts_pem(&aosp);
         let mal = f.root("CRAZY HOUSE");
         let mal_hash = subject_hash(&mal);
         files.push(CacertsFile {
             name: format!("{mal_hash}.0"),
             der: mal.to_der().to_vec(),
         });
-        let observed = from_cacerts("tampered", &files, AnchorSource::Unknown).unwrap();
+        let observed = read_clean("tampered", &files, AnchorSource::Unknown);
         let d = crate::diff::diff(&aosp, &observed);
         assert_eq!(d.added.len(), 1);
         assert!(d.added[0].subject.contains("CRAZY HOUSE"));
@@ -486,10 +427,18 @@ mod tests {
 
     #[test]
     fn lenient_clean_directory_matches_strict() {
-        let files = pem_sample(4);
-        let strict = from_cacerts("s", &files, AnchorSource::Aosp).unwrap();
-        let (lenient, q) = from_cacerts_lenient("l", &files, AnchorSource::Aosp);
-        assert!(q.is_empty());
-        assert_eq!(strict.identities(), lenient.identities());
+        // A clean directory loads every file: the store read back holds
+        // exactly the anchors it was written from.
+        let mut f = CaFactory::new();
+        let mut written = RootStore::new("written");
+        for i in 0..4 {
+            written.add_cert(f.root(&format!("Lenient CA {i}")), AnchorSource::Aosp);
+        }
+        let read = read_clean("l", &to_cacerts_pem(&written), AnchorSource::Aosp);
+        let set = |s: &RootStore| -> std::collections::BTreeSet<_> {
+            s.identities().iter().cloned().collect()
+        };
+        assert_eq!(read.len(), written.len());
+        assert_eq!(set(&read), set(&written));
     }
 }

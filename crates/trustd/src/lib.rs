@@ -53,6 +53,5 @@ pub use replay::{
 };
 pub use resilient::{Connect, ResilientClient, ResilientError, RetryPolicy, TcpConnector};
 pub use service::{TrustService, DEFAULT_CACHE_CAPACITY};
-pub use stats::LatencyHistogram;
 pub use warm::{start, StartError, Started};
 pub use wire::{ChainVerdict, FrameError, Request, Response, WireError, MAX_FRAME};

@@ -15,12 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 use tangled_core::health::RunHealth;
 use tangled_obs::registry as metrics;
-
-/// Log₂-bucketed latency histogram (microseconds) — the generalised
-/// [`tangled_obs::Log2Histogram`], kept under its historical name here.
-/// Bucket `i` covers `[2^i, 2^(i+1))` µs, bucket 0 also absorbs sub-µs
-/// samples; 40 buckets reach ~12 days, far beyond any request.
-pub use tangled_obs::Log2Histogram as LatencyHistogram;
+use tangled_obs::Log2Histogram;
 
 #[derive(Default)]
 struct StatsInner {
@@ -29,7 +24,9 @@ struct StatsInner {
     cache_hits: u64,
     cache_misses: u64,
     health: RunHealth,
-    latency: BTreeMap<String, LatencyHistogram>,
+    /// Per-kind latency in µs: bucket `i` covers `[2^i, 2^(i+1))`,
+    /// bucket 0 also absorbs sub-µs samples.
+    latency: BTreeMap<String, Log2Histogram>,
     /// Snapshot sections (or profiles) quarantined during a degraded
     /// warm start: `(unit, label)`. Rendered canonically sorted, so the
     /// stats document is byte-reproducible regardless of the order the
@@ -200,7 +197,7 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_track_buckets() {
-        let h = LatencyHistogram::default();
+        let h = Log2Histogram::default();
         assert_eq!(h.percentile(50), 0, "empty histogram");
         // 99 fast samples (~4 µs), one slow (~4096 µs).
         for _ in 0..99 {
@@ -215,7 +212,7 @@ mod tests {
 
     #[test]
     fn histogram_handles_extremes() {
-        let h = LatencyHistogram::default();
+        let h = Log2Histogram::default();
         h.record(0);
         h.record(u64::MAX);
         assert_eq!(h.percentile(50), 0);

@@ -5,7 +5,6 @@
 //! cacerts emulation and the CLI read and write the real format.
 
 use crate::cert::Certificate;
-use crate::X509Error;
 
 const B64_ALPHABET: &[u8; 64] =
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -149,31 +148,6 @@ pub fn encode_certificate(cert: &Certificate) -> String {
     encode("CERTIFICATE", cert.to_der())
 }
 
-/// Parse the first `CERTIFICATE` PEM block of `text`.
-pub fn decode_certificate(text: &str) -> Result<Certificate, X509Error> {
-    let der = decode("CERTIFICATE", text)
-        .map_err(|_| X509Error::Malformed("invalid PEM armor"))?;
-    Certificate::parse(&der)
-}
-
-/// Parse every `CERTIFICATE` block in `text`, in order.
-pub fn decode_certificates(text: &str) -> Result<Vec<Certificate>, X509Error> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(start) = rest.find("-----BEGIN CERTIFICATE-----") {
-        let chunk = &rest[start..];
-        let cert = decode_certificate(chunk)?;
-        out.push(cert);
-        let footer = "-----END CERTIFICATE-----";
-        let end = chunk
-            .find(footer)
-            .ok_or(X509Error::Malformed("invalid PEM armor"))?
-            + footer.len();
-        rest = &chunk[end..];
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,31 +224,8 @@ mod tests {
         assert!(pem.starts_with("-----BEGIN CERTIFICATE-----\n"));
         assert!(pem.ends_with("-----END CERTIFICATE-----\n"));
         assert!(pem.lines().skip(1).all(|l| l.len() <= 64 || l.starts_with("-----")));
-        let back = decode_certificate(&pem).unwrap();
+        let back = Certificate::parse(&decode("CERTIFICATE", &pem).unwrap()).unwrap();
         assert_eq!(back, cert);
-    }
-
-    #[test]
-    fn multi_certificate_bundle() {
-        let kp = RsaKeyPair::generate(512, &mut SplitMix64::new(315)).unwrap();
-        let mk = |cn: &str| {
-            CertificateBuilder::self_signed_root(
-                DistinguishedName::common_name(cn),
-                Time::date(2010, 1, 1).unwrap(),
-                Time::date(2020, 1, 1).unwrap(),
-                &kp,
-                tangled_crypto::Uint::one(),
-            )
-            .unwrap()
-        };
-        let a = mk("Bundle A");
-        let b = mk("Bundle B");
-        let bundle = format!("{}{}", encode_certificate(&a), encode_certificate(&b));
-        let parsed = decode_certificates(&bundle).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0], a);
-        assert_eq!(parsed[1], b);
-        assert!(decode_certificates("no pem here").unwrap().is_empty());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use tangled_mass::intercept::study_time;
 use tangled_mass::netalyzr::{Population, PopulationSpec};
 use tangled_mass::obs;
 use tangled_mass::pki::audit::audit;
-use tangled_mass::pki::cacerts::{from_cacerts, to_cacerts_pem, CacertsFile};
+use tangled_mass::pki::cacerts::{from_cacerts_lenient, to_cacerts_pem, CacertsFile};
 use tangled_mass::pki::stores::ReferenceStore;
 use tangled_mass::pki::trust::AnchorSource;
 use tangled_mass::scenario;
@@ -65,7 +65,10 @@ const COMMANDS: &[(&str, &str)] = &[
         "mkstore <version> <dir>",
         "write a reference store as cacerts files\n(version: 4.1|4.2|4.3|4.4|mozilla|ios7)",
     ),
-    ("audit <dir> <version>", "audit a cacerts directory"),
+    (
+        "audit <dir> <version>",
+        "audit a cacerts directory; exit 1 if any file is quarantined",
+    ),
     ("probe", "replay the interception case"),
     ("snap write <file> [scale]", "generate a study and persist a binary snapshot"),
     ("snap read <file>", "load a snapshot and print its tables"),
@@ -375,18 +378,14 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn parse_store(name: &str) -> Result<ReferenceStore, CliError> {
-    match name {
-        "4.1" => Ok(ReferenceStore::Aosp41),
-        "4.2" => Ok(ReferenceStore::Aosp42),
-        "4.3" => Ok(ReferenceStore::Aosp43),
-        "4.4" => Ok(ReferenceStore::Aosp44),
-        "mozilla" => Ok(ReferenceStore::Mozilla),
-        "ios7" => Ok(ReferenceStore::Ios7),
-        other => Err(CliError::Usage(format!(
-            "unknown store '{other}' (want 4.1|4.2|4.3|4.4|mozilla|ios7)"
-        ))),
-    }
+/// The reference store a CLI store name denotes, from trustd's one name
+/// table (short names such as `4.4` and canonical ones such as `AOSP 4.4`).
+fn named_store(name: &str) -> Result<ReferenceStore, CliError> {
+    trustd::service::reference_store(name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown store '{name}' (want 4.1|4.2|4.3|4.4|mozilla|ios7)"
+        ))
+    })
 }
 
 fn cmd_tables(scale: f64) -> Result<(), CliError> {
@@ -420,7 +419,7 @@ fn cmd_export(scale: f64) -> Result<(), CliError> {
 fn cmd_mkstore(args: &Args) -> Result<(), CliError> {
     let version = args.need(0, "a store name")?;
     let dir = args.need(1, "an output directory")?;
-    let store = parse_store(version)?.cached();
+    let store = named_store(version)?.cached();
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     let files = to_cacerts_pem(&store);
     for f in &files {
@@ -434,7 +433,7 @@ fn cmd_mkstore(args: &Args) -> Result<(), CliError> {
 fn cmd_audit(args: &Args) -> Result<(), CliError> {
     let dir = args.need(0, "a cacerts directory")?;
     let version = args.need(1, "a baseline store name")?;
-    let baseline = parse_store(version)?.cached();
+    let baseline = named_store(version)?.cached();
 
     let mut files = Vec::new();
     for entry in std::fs::read_dir(dir).map_err(|e| e.to_string())? {
@@ -447,11 +446,18 @@ fn cmd_audit(args: &Args) -> Result<(), CliError> {
         files.push(CacertsFile { name, der });
     }
     files.sort_by(|a, b| a.name.cmp(&b.name));
-    let observed = from_cacerts(dir, &files, AnchorSource::Unknown)
-        .map_err(|e| format!("reading {dir}: {e}"))?;
+    // The served `audit` op's policy: audit what loaded, name what did not.
+    let (observed, quarantined) = from_cacerts_lenient(dir, &files, AnchorSource::Unknown);
     let report = audit(&baseline, &observed, study_time());
     print!("{}", report.render());
-    Ok(())
+    for q in &quarantined {
+        eprintln!("quarantined {}: {}", q.file, q.error.label());
+    }
+    if quarantined.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{dir}: {} file(s) quarantined", quarantined.len()).into())
+    }
 }
 
 fn cmd_probe() -> Result<(), CliError> {
@@ -643,8 +649,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         .map(|n| n.get())
         .unwrap_or(4)
         .min(8);
-    // The flushed "trustd listening on" line is what the loadgen smoke
-    // test and perfbench parse. The bound server must stay in scope for
+    // The flushed "trustd listening on" line is what the CLI tests and
+    // perfbench parse. The bound server must stay in scope for
     // the lifetime of the process.
     let server = EventServer::bind(addr, started.service, workers)
         .map_err(|e| format!("binding {addr}: {e}"))?;

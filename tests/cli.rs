@@ -1,14 +1,17 @@
 //! The `tangled` binary's exit-code contract: 2 for usage errors, 1 for
 //! runtime failures, 0 for success.
 //!
-//! Every case stops at argument checking or at its first file open,
-//! except one `serve` spawn that pins the `trustd listening on` first
-//! line, and one `disparity` spawn that is killed after its first stderr
-//! line reports the pool width.
+//! Most cases stop at argument checking or at their first file open.
+//! The exceptions: a `disparity` spawn killed after its first stderr line
+//! reports the pool width, a `mkstore`/`audit` round trip over a cacerts
+//! directory, and `serve` spawns that pin the `trustd listening on` first
+//! line and answer pipelined `loadgen` replays.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Output, Stdio};
+use tangled_mass::pki::cacerts::subject_hash;
+use tangled_mass::pki::factory::CaFactory;
 
 fn tangled() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tangled"))
@@ -16,14 +19,22 @@ fn tangled() -> Command {
 
 /// Run `tangled args…` to completion and assert its exit code.
 fn assert_exit(code: i32, args: &[&str]) {
+    run_exit(code, args);
+}
+
+/// Run `tangled args…` to completion, asserting its exit code, and
+/// return its output.
+fn run_exit(code: i32, args: &[&str]) -> Output {
     let out = tangled().args(args).output().expect("spawn tangled");
     assert_eq!(
         out.status.code(),
         Some(code),
-        "tangled {}\nstderr: {}",
+        "tangled {}\nstdout: {}\nstderr: {}",
         args.join(" "),
+        String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
+    out
 }
 
 fn assert_usage(cases: &[&[&str]]) {
@@ -226,4 +237,110 @@ fn serve_prints_its_listening_address_first() {
     let _ = child.wait();
     let _ = std::fs::remove_file(&journal);
     assert!(first.starts_with("trustd listening on "), "first stdout line: {first}");
+}
+
+#[test]
+fn mkstore_then_audit_reads_pem_and_der_and_names_damaged_files() {
+    let dir = scratch("cacerts");
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().expect("utf-8 temp path");
+    let stdout = |out: &Output| String::from_utf8_lossy(&out.stdout).into_owned();
+
+    run_exit(0, &["mkstore", "4.4", d]);
+    let clean = run_exit(0, &["audit", d, "4.4"]);
+    assert!(stdout(&clean).contains("+0 additions, -0 removals"), "{}", stdout(&clean));
+
+    // A root app drops a rogue root in as raw DER: the reader's DER branch.
+    let rogue = CaFactory::new().root("CLI Rogue CA");
+    std::fs::write(dir.join(format!("{}.0", subject_hash(&rogue))), rogue.to_der())
+        .expect("write rogue root");
+    let tampered = run_exit(0, &["audit", d, "4.4"]);
+    assert!(stdout(&tampered).contains("+1 additions"), "{}", stdout(&tampered));
+
+    // Cut one PEM file mid-body: its footer is gone.
+    let victim = std::fs::read_dir(&dir)
+        .expect("list cacerts")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| std::fs::read(p).is_ok_and(|b| b.starts_with(b"-----BEGIN")))
+        .expect("a PEM file");
+    let bytes = std::fs::read(&victim).expect("read victim");
+    std::fs::write(&victim, &bytes[..bytes.len() / 2]).expect("truncate victim");
+    let damaged = run_exit(1, &["audit", d, "4.4"]);
+    let name = victim.file_name().expect("file name").to_string_lossy();
+    let stderr = String::from_utf8_lossy(&damaged.stderr);
+    assert!(
+        stderr.contains(&format!("quarantined {name}: pem-armor")),
+        "stderr: {stderr}"
+    );
+    assert!(stdout(&damaged).contains("+1 additions, -1 removals"), "{}", stdout(&damaged));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `tangled serve` child, killed when dropped so that a failed
+/// assertion leaves no server behind.
+struct Server(Child);
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Start `tangled serve 127.0.0.1:0` and return it with the address its
+/// first stdout line names.
+fn serve() -> (Server, String) {
+    let mut server = Server(
+        tangled()
+            .args(["serve", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn tangled serve"),
+    );
+    let mut first = String::new();
+    BufReader::new(server.0.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read first stdout line");
+    let addr = first
+        .strip_prefix("trustd listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("first stdout line: {first}"))
+        .to_owned();
+    (server, addr)
+}
+
+#[test]
+fn pipelined_mixed_loadgen_matches_the_offline_study_at_every_depth() {
+    let (_server, addr) = serve();
+    let fingerprints: Vec<String> = ["1", "8", "16"]
+        .iter()
+        .map(|depth| {
+            let args = [
+                "loadgen", &addr, "--sessions", "60", "--seed", "2014", "--op", "mixed",
+                "--pipeline", depth,
+            ];
+            let out = run_exit(0, &args);
+            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            for line in [
+                "protocol errors: 0",
+                "verdicts match the offline study exactly",
+                "1 connection(s) for",
+            ] {
+                assert!(stdout.contains(line), "depth {depth}: no '{line}' in\n{stdout}");
+            }
+            stdout
+                .lines()
+                .find(|l| l.contains("verdict-vector fingerprint:"))
+                .unwrap_or_else(|| panic!("depth {depth}: no fingerprint in\n{stdout}"))
+                .to_owned()
+        })
+        .collect();
+    // Pipeline depth is transport only: the verdict vector is the same,
+    // and it is the mixed plan's pinned fingerprint.
+    assert!(
+        fingerprints.iter().all(|fp| *fp == fingerprints[0]),
+        "{fingerprints:?}"
+    );
+    assert_eq!(fingerprints[0], "loadgen: verdict-vector fingerprint: f82cd864d50905cb");
 }

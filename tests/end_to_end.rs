@@ -5,7 +5,7 @@ use std::sync::Arc;
 use tangled_mass::intercept::detect::{probe, probe_all};
 use tangled_mass::intercept::origin::OriginServers;
 use tangled_mass::intercept::{MitmProxy, Target, Verdict};
-use tangled_mass::pki::cacerts::{from_cacerts, subject_hash, to_cacerts, CacertsFile};
+use tangled_mass::pki::cacerts::{from_cacerts_lenient, subject_hash, to_cacerts_pem, CacertsFile};
 use tangled_mass::pki::diff::diff;
 use tangled_mass::pki::stores::{global_factory, ReferenceStore};
 use tangled_mass::pki::trust::AnchorSource;
@@ -18,7 +18,7 @@ use tangled_mass::x509::{Certificate, ChainOptions};
 #[test]
 fn rooted_tampering_full_cycle() {
     let aosp = ReferenceStore::Aosp44.cached();
-    let mut files = to_cacerts(&aosp);
+    let mut files = to_cacerts_pem(&aosp);
 
     // The Freedom app (root permissions) drops its CA into the directory.
     let (mal_root, mal_leaf) = {
@@ -35,7 +35,8 @@ fn rooted_tampering_full_cycle() {
     });
 
     // Audit: re-read the directory and diff against the distribution.
-    let observed = from_cacerts("device", &files, AnchorSource::Unknown).unwrap();
+    let (observed, quarantined) = from_cacerts_lenient("device", &files, AnchorSource::Unknown);
+    assert!(quarantined.is_empty(), "quarantined: {quarantined:?}");
     let d = diff(&aosp, &observed);
     assert_eq!(d.added.len(), 1);
     assert!(d.added[0].subject.contains("CRAZY HOUSE"));
