@@ -1,7 +1,7 @@
 //! Study bundle: one dataset shared by every table and figure.
 
 use crate::health::RunHealth;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use tangled_exec::ExecPool;
 use tangled_faults::{FaultPlan, InjectedFault};
@@ -9,10 +9,7 @@ use tangled_netalyzr::{Population, PopulationSpec};
 use tangled_notary::degrade::RawEcosystem;
 use tangled_notary::ecosystem::EcosystemSpec;
 use tangled_notary::{Ecosystem, NotaryDb, ValidationIndex};
-use tangled_pki::cacerts::{from_cacerts_lenient, to_cacerts_pem};
-use tangled_pki::store::RootStore;
-use tangled_pki::trust::AnchorSource;
-use tangled_x509::CertIdentity;
+use tangled_pki::cacerts::ArmorCache;
 
 /// Salt distinguishing the Notary ingest surface under one fault plan.
 const NOTARY_SALT: u64 = 0x6e6f_7461_7279;
@@ -80,34 +77,33 @@ impl Study {
         // Netalyzr: render each distinct store as a cacerts directory,
         // damage the files, reload leniently, and swap the degraded store
         // back in. Surviving anchors keep their original provenance and
-        // enablement (the directory format does not carry them). Each
-        // store's degradation is salted by its *index* in the distinct-
-        // store list (stable across runs and pool widths), so the units
-        // parallelise freely; ledgers merge back in index order, keeping
-        // the health tallies and the injection ledger deterministic.
+        // enablement (the directory format does not carry them). The
+        // stores share most of their anchors, so each distinct
+        // certificate is armored once for all of them, and a reload
+        // parses only the files the damage changed. Each store's
+        // degradation is salted by its *index* in the distinct-store list
+        // (stable across runs and pool widths), so the units parallelise
+        // freely; ledgers merge back in index order, keeping the health
+        // tallies and the injection ledger deterministic.
         let mut population = Population::generate(&PopulationSpec::scaled(population_scale));
+        let round_trip = std::time::Instant::now();
         let stores = population.distinct_stores();
+        let mut armor = ArmorCache::default();
+        for store in &stores {
+            armor.add(store);
+        }
         let outcomes = ExecPool::current().par_map_indexed(&stores, |i, store| {
-            let mut files = to_cacerts_pem(store);
-            let ledger = plan.degrade(&mut files, CACERTS_SALT ^ (i as u64));
+            let mut written = armor.write(store);
+            let ledger = plan.degrade(&mut written.files, CACERTS_SALT ^ (i as u64));
             if ledger.is_empty() {
                 return None;
             }
-            let (loaded, quarantined) =
-                from_cacerts_lenient(store.name(), &files, AnchorSource::Unknown);
-            let survivors: HashSet<CertIdentity> =
-                loaded.identities().iter().cloned().collect();
-            let mut rebuilt = RootStore::new(store.name());
-            for anchor in store.iter() {
-                if survivors.contains(&anchor.identity()) {
-                    rebuilt.add(anchor.clone());
-                }
-            }
-            Some((store.name().to_owned(), rebuilt, ledger, quarantined))
+            let (survivors, quarantined) = written.reload();
+            Some((survivors, ledger, quarantined))
         });
         let mut replacements = HashMap::new();
         for outcome in outcomes {
-            let Some((name, rebuilt, ledger, quarantined)) = outcome else {
+            let Some((survivors, ledger, quarantined)) = outcome else {
                 continue;
             };
             for fault in &ledger {
@@ -119,9 +115,10 @@ impl Study {
             injected.extend(ledger);
             // Keyed by store name — stable run-to-run, unlike the Arc
             // allocation address this map used to key on.
-            replacements.insert(name, Arc::new(rebuilt));
+            replacements.insert(survivors.name().to_owned(), Arc::new(survivors));
         }
         population.replace_stores(&replacements);
+        tangled_obs::registry::observe("study.cacerts.us", round_trip.elapsed().as_micros() as u64);
 
         // The health ledger is deterministic (index-ordered merges over
         // salted, width-independent degradation), so replaying it into the
@@ -208,6 +205,10 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use tangled_pki::store::RootStore;
+    use tangled_pki::trust::AnchorSource;
+    use tangled_x509::CertIdentity;
 
     #[test]
     fn quick_study_builds_consistently() {
@@ -250,5 +251,51 @@ mod tests {
             }
         }
         assert!(sources.contains(&AnchorSource::Aosp));
+    }
+
+    #[test]
+    fn shortcut_reload_matches_the_full_lenient_read() {
+        use tangled_pki::cacerts::from_cacerts_lenient;
+        let population = Population::generate(&PopulationSpec::scaled(0.2));
+        let stores = population.distinct_stores();
+        let mut armor = ArmorCache::default();
+        for store in &stores {
+            armor.add(store);
+        }
+        for seed in [2014, 0xFA17] {
+            let plan = FaultPlan::new(seed).with_rate(0.05);
+            let mut labels = std::collections::BTreeSet::new();
+            for (i, store) in stores.iter().enumerate() {
+                let mut written = armor.write(store);
+                plan.degrade(&mut written.files, CACERTS_SALT ^ (i as u64));
+                let (survivors, quarantined) = written.reload();
+                let (lenient, expected) =
+                    from_cacerts_lenient(store.name(), &written.files, AnchorSource::Unknown);
+                assert_eq!(quarantined, expected, "seed {seed}, store {}", store.name());
+                let ids = |s: &RootStore| -> HashSet<CertIdentity> {
+                    s.identities().iter().cloned().collect()
+                };
+                assert_eq!(
+                    ids(&survivors),
+                    ids(&lenient),
+                    "seed {seed}, store {}",
+                    store.name()
+                );
+                labels.extend(quarantined.iter().map(|q| q.error.label()));
+            }
+            // Every cacerts fault kind was exercised, the appended copies
+            // included.
+            assert_eq!(
+                labels.into_iter().collect::<Vec<_>>(),
+                [
+                    "bad-base64",
+                    "duplicate-der",
+                    "empty-file",
+                    "malformed-der",
+                    "pem-armor"
+                ],
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -7,6 +7,7 @@
 use crate::report::{pct, thousands, TextTable};
 use crate::study::Study;
 use std::collections::HashMap;
+use std::sync::Arc;
 use tangled_intercept::origin::OriginServers;
 use tangled_intercept::{detect, MitmProxy};
 use tangled_netalyzr::Population;
@@ -228,26 +229,53 @@ pub fn table4(validation: &ValidationIndex) -> TextTable {
 // Table 5 — CAs found more frequently on rooted devices.
 // ---------------------------------------------------------------------------
 
-/// Table 5 data: `(authority, device count)` observed in the population.
+/// Table 5 data: `(authority, device count)` observed in the population:
+/// the devices holding an anchor whose rendered subject contains the
+/// authority's name.
+///
+/// Devices share their stores, and stores share their anchors, so the
+/// scan runs once per distinct store (`Arc` address) and renders each
+/// distinct certificate's subject once (`Arc` address again). The
+/// population holds every `Arc` for the whole call, so no address is
+/// reused.
 pub fn table5_data(pop: &Population) -> Vec<(String, usize)> {
     let authorities: Vec<&'static str> = rooted_device_cas()
         .into_iter()
         .map(|c| c.authority)
         .collect();
+    let mut devices: HashMap<usize, (&RootStore, usize)> = HashMap::new();
+    for d in &pop.devices {
+        devices
+            .entry(Arc::as_ptr(&d.store) as usize)
+            .or_insert((&d.store, 0))
+            .1 += 1;
+    }
+    // Which authorities each distinct certificate's subject names.
+    let mut names: HashMap<usize, Vec<bool>> = HashMap::new();
+    let mut counts = vec![0; authorities.len()];
+    for (store, n) in devices.into_values() {
+        let mut held = vec![false; authorities.len()];
+        for anchor in store.iter() {
+            let named = names
+                .entry(Arc::as_ptr(&anchor.cert) as usize)
+                .or_insert_with(|| {
+                    let subject = anchor.cert.subject.to_string();
+                    authorities.iter().map(|a| subject.contains(a)).collect()
+                });
+            for (h, named) in held.iter_mut().zip(named.iter()) {
+                *h |= *named;
+            }
+        }
+        for (count, held) in counts.iter_mut().zip(held) {
+            if held {
+                *count += n;
+            }
+        }
+    }
     authorities
         .into_iter()
-        .map(|name| {
-            let devices = pop
-                .devices
-                .iter()
-                .filter(|d| {
-                    d.store
-                        .iter()
-                        .any(|a| a.cert.subject.to_string().contains(name))
-                })
-                .count();
-            (name.to_owned(), devices)
-        })
+        .zip(counts)
+        .map(|(name, devices)| (name.to_owned(), devices))
         .collect()
 }
 
@@ -466,5 +494,37 @@ mod tests {
         let t6 = table6();
         assert_eq!(t6.len(), 12);
         assert!(t6.render().contains("supl.google.com:7275"));
+    }
+
+    /// Table 5 as a scan of every device's every anchor: the oracle
+    /// [`table5_data`] must agree with.
+    fn table5_oracle(pop: &Population) -> Vec<(String, usize)> {
+        rooted_device_cas()
+            .into_iter()
+            .map(|c| {
+                let devices = pop
+                    .devices
+                    .iter()
+                    .filter(|d| {
+                        d.store
+                            .iter()
+                            .any(|a| a.cert.subject.to_string().contains(c.authority))
+                    })
+                    .count();
+                (c.authority.to_owned(), devices)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table5_matches_the_per_device_scan() {
+        let clean = Study::new(0.2, 0.2);
+        let plan = tangled_faults::FaultPlan::new(2014).with_rate(0.05);
+        let faulted = Study::with_faults(0.2, 0.2, &plan);
+        for study in [&clean, &faulted] {
+            let oracle = table5_oracle(&study.population);
+            assert!(oracle.iter().any(|(_, n)| *n > 0), "{oracle:?}");
+            assert_eq!(table5_data(&study.population), oracle);
+        }
     }
 }

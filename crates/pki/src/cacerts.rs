@@ -5,15 +5,33 @@
 //! of the paper), each holding one PEM-armored certificate — the format
 //! third-party apps with root permissions manipulate directly in §6.
 //!
-//! There is one writer and one reader. [`to_cacerts_pem`] renders a
-//! [`RootStore`] into that layout, armoring each anchor's own DER.
-//! [`from_cacerts_lenient`] parses a directory back, accepting PEM or raw
-//! DER contents, and quarantines every file it refuses under a
-//! [`StoreLoadError`] label instead of aborting.
+//! There is one writer and one reader.
+//!
+//! * [`ArmorCache::write`] renders a [`RootStore`] into that layout,
+//!   armoring each anchor's own DER. The cache renders each distinct
+//!   certificate's subject hash and armor once, however many stores hold
+//!   it; [`to_cacerts_pem`] writes one store through an empty cache.
+//! * [`from_cacerts_lenient`] parses a directory back, accepting PEM or raw
+//!   DER contents, and quarantines every file it refuses under a
+//!   [`StoreLoadError`] label instead of aborting.
+//!
+//! [`Written::reload`] reads back a directory the writer produced, after
+//! whatever damage was done to it, through the same lenient pass with one
+//! shortcut: a file whose name and bytes are still exactly what the writer
+//! produced for anchor *k* loads as anchor *k*, with no Base64 decode, DER
+//! parse or identity render. That is sound because
+//! `pem::decode(pem::encode(der)) == der` and `Certificate::parse` rejects
+//! trailing bytes, so the full parse would yield anchor *k*'s certificate.
+//! Every other file (damaged ones, copies appended under new names) takes
+//! the full path, and the duplicate check sees both kinds, so the
+//! quarantine list and the survivors are exactly what
+//! [`from_cacerts_lenient`] over the whole directory gives.
 
 use crate::store::RootStore;
 use crate::trust::AnchorSource;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
 use tangled_crypto::sha1::sha1;
 use tangled_x509::Certificate;
@@ -24,8 +42,8 @@ pub struct CacertsFile {
     /// File name, `xxxxxxxx.n` (8 hex digits of the subject hash, then a
     /// collision counter).
     pub name: String,
-    /// File contents as written: PEM text from [`to_cacerts_pem`]. The
-    /// reader also accepts raw DER here, as Android's loader does.
+    /// File contents as written: PEM text from the writer. The reader
+    /// also accepts raw DER here, as Android's loader does.
     pub der: Vec<u8>,
 }
 
@@ -41,23 +59,140 @@ pub fn subject_hash(cert: &Certificate) -> String {
 /// format Android actually ships. Output is sorted by file name; hash
 /// collisions get increasing `.n` suffixes in store order, as on Android.
 pub fn to_cacerts_pem(store: &RootStore) -> Vec<CacertsFile> {
-    let mut by_hash: BTreeMap<String, Vec<&Certificate>> = BTreeMap::new();
-    for anchor in store.iter() {
-        by_hash
-            .entry(subject_hash(&anchor.cert))
-            .or_default()
-            .push(&anchor.cert);
-    }
-    let mut files = Vec::with_capacity(store.len());
-    for (hash, certs) in by_hash {
-        for (n, cert) in certs.into_iter().enumerate() {
-            files.push(CacertsFile {
-                name: format!("{hash}.{n}"),
-                der: tangled_x509::pem::encode_certificate(cert).into_bytes(),
-            });
+    ArmorCache::default().write(store).files
+}
+
+/// One certificate's file form: the subject hash its file is named after
+/// and its PEM armor.
+#[derive(Debug, Clone)]
+struct Armor {
+    /// Held so the address keying [`ArmorCache`] stays this certificate's.
+    cert: Arc<Certificate>,
+    hash: String,
+    pem: Vec<u8>,
+}
+
+impl Armor {
+    fn of(cert: &Arc<Certificate>) -> Armor {
+        Armor {
+            cert: Arc::clone(cert),
+            hash: subject_hash(cert),
+            pem: tangled_x509::pem::encode_certificate(cert).into_bytes(),
         }
     }
-    files
+}
+
+/// Each distinct certificate's subject hash and PEM armor, rendered once
+/// and shared by every store written through the cache.
+///
+/// Entries are keyed by `Arc` address and hold their `Arc`, so no address
+/// is reused while the cache lives. A certificate never [`added`] renders
+/// afresh on each write.
+///
+/// [`added`]: ArmorCache::add
+#[derive(Debug, Default)]
+pub struct ArmorCache {
+    by_addr: HashMap<usize, Armor>,
+}
+
+impl ArmorCache {
+    /// Render every anchor of `store` the cache does not hold yet.
+    pub fn add(&mut self, store: &RootStore) {
+        for anchor in store.iter() {
+            self.by_addr
+                .entry(Arc::as_ptr(&anchor.cert) as usize)
+                .or_insert_with(|| Armor::of(&anchor.cert));
+        }
+    }
+
+    /// Render `store` into the cacerts layout (see [`to_cacerts_pem`]),
+    /// remembering which anchor each file was written from.
+    pub fn write<'a>(&'a self, store: &'a RootStore) -> Written<'a> {
+        let armors: Vec<Cow<'a, Armor>> = store
+            .iter()
+            .map(|anchor| {
+                self.by_addr
+                    .get(&(Arc::as_ptr(&anchor.cert) as usize))
+                    .map_or_else(|| Cow::Owned(Armor::of(&anchor.cert)), Cow::Borrowed)
+            })
+            .collect();
+        let mut by_hash: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (k, armor) in armors.iter().enumerate() {
+            by_hash.entry(armor.hash.as_str()).or_default().push(k);
+        }
+        let mut files = Vec::with_capacity(armors.len());
+        let mut origin = Vec::with_capacity(armors.len());
+        for (hash, anchors) in by_hash {
+            for (n, k) in anchors.into_iter().enumerate() {
+                files.push(CacertsFile {
+                    name: format!("{hash}.{n}"),
+                    der: armors[k].pem.clone(),
+                });
+                origin.push((k, n));
+            }
+        }
+        Written {
+            files,
+            store,
+            armors,
+            origin,
+        }
+    }
+}
+
+/// A store rendered by [`ArmorCache::write`], with the anchor each file was
+/// written from.
+#[derive(Debug)]
+pub struct Written<'a> {
+    /// The cacerts directory, sorted by file name. Damage it in place or
+    /// append to it; [`Written::reload`] reads whatever it holds.
+    pub files: Vec<CacertsFile>,
+    store: &'a RootStore,
+    /// Each anchor's armor, by position in the store.
+    armors: Vec<Cow<'a, Armor>>,
+    /// For the file first written at each position: the anchor's position
+    /// and the file's collision counter.
+    origin: Vec<(usize, usize)>,
+}
+
+impl Written<'_> {
+    /// Read the directory back with quarantine, as [`from_cacerts_lenient`]
+    /// would, and return the written store's anchors that survive — those
+    /// whose identity some loaded file carries — with their provenance
+    /// and enablement, plus the quarantine ledger in file order. Files
+    /// still exactly as written load without a parse (module docs).
+    pub fn reload(&self) -> (RootStore, Vec<QuarantinedFile>) {
+        let mut name = String::new();
+        let loaded = load_all(&self.files, |i, file| {
+            let &(k, n) = self.origin.get(i)?;
+            let armor = &self.armors[k];
+            name.clear();
+            let _ = write!(name, "{}.{n}", armor.hash);
+            (file.name == name && file.der == armor.pem).then_some(&*armor.cert)
+        });
+        let mut survived = vec![false; self.armors.len()];
+        let mut parsed = HashSet::new();
+        let mut quarantined = Vec::new();
+        for (i, (file, result)) in self.files.iter().zip(loaded).enumerate() {
+            match result {
+                Ok(Cow::Borrowed(_)) => survived[self.origin[i].0] = true,
+                Ok(Cow::Owned(cert)) => {
+                    parsed.insert(cert.identity());
+                }
+                Err(error) => quarantined.push(QuarantinedFile {
+                    file: file.name.clone(),
+                    error,
+                }),
+            }
+        }
+        let mut store = self.store.clone();
+        for (k, id) in self.store.identities().iter().enumerate() {
+            if !survived[k] && !parsed.contains(id) {
+                store.remove(id);
+            }
+        }
+        (store, quarantined)
+    }
 }
 
 /// How one cacerts file failed to load: the *quarantine* classification
@@ -146,6 +281,36 @@ fn load_file(file: &CacertsFile) -> Result<Certificate, StoreLoadError> {
     Ok(cert)
 }
 
+/// The one lenient pass: each file's certificate, or why it was refused,
+/// in file order. `known(i, file)` may name the certificate a file at
+/// position `i` is known to hold, which then loads without a parse; every
+/// other file goes through [`load_file`]. A certificate byte-identical to
+/// one an earlier file loaded, known or parsed, is a duplicate.
+fn load_all<'c>(
+    files: &[CacertsFile],
+    mut known: impl FnMut(usize, &CacertsFile) -> Option<&'c Certificate>,
+) -> Vec<Result<Cow<'c, Certificate>, StoreLoadError>> {
+    let mut loaded: Vec<_> = files
+        .iter()
+        .enumerate()
+        .map(|(i, file)| match known(i, file) {
+            Some(cert) => Ok(Cow::Borrowed(cert)),
+            None => load_file(file).map(Cow::Owned),
+        })
+        .collect();
+    let mut seen = HashSet::new();
+    let duplicate: Vec<bool> = loaded
+        .iter()
+        .map(|result| matches!(result, Ok(cert) if !seen.insert(cert.to_der())))
+        .collect();
+    for (result, duplicate) in loaded.iter_mut().zip(duplicate) {
+        if duplicate {
+            *result = Err(StoreLoadError::DuplicateDer);
+        }
+    }
+    loaded
+}
+
 /// Parse a cacerts directory of PEM or raw-DER files, skipping and
 /// recording every file that fails instead of aborting. Returns the store
 /// built from the healthy files plus the quarantine ledger, in file order.
@@ -158,18 +323,10 @@ pub fn from_cacerts_lenient(
 ) -> (RootStore, Vec<QuarantinedFile>) {
     let mut store = RootStore::new(name);
     let mut quarantined = Vec::new();
-    let mut seen_der: std::collections::HashSet<Vec<u8>> = std::collections::HashSet::new();
-    for file in files {
-        match load_file(file) {
+    for (file, result) in files.iter().zip(load_all(files, |_, _| None)) {
+        match result {
             Ok(cert) => {
-                if !seen_der.insert(cert.to_der().to_vec()) {
-                    quarantined.push(QuarantinedFile {
-                        file: file.name.clone(),
-                        error: StoreLoadError::DuplicateDer,
-                    });
-                    continue;
-                }
-                store.add_cert(Arc::new(cert), source);
+                store.add_cert(Arc::new(cert.into_owned()), source);
             }
             Err(error) => quarantined.push(QuarantinedFile {
                 file: file.name.clone(),
@@ -308,13 +465,17 @@ mod tests {
 
     // ---- lenient loading / quarantine ------------------------------------
 
-    fn pem_sample(n: usize) -> Vec<CacertsFile> {
+    fn sample_store(n: usize) -> RootStore {
         let mut f = CaFactory::new();
         let mut store = RootStore::new("lenient-sample");
         for i in 0..n {
             store.add_cert(f.root(&format!("Lenient CA {i}")), AnchorSource::Aosp);
         }
-        to_cacerts_pem(&store)
+        store
+    }
+
+    fn pem_sample(n: usize) -> Vec<CacertsFile> {
+        to_cacerts_pem(&sample_store(n))
     }
 
     #[test]
@@ -440,5 +601,102 @@ mod tests {
         };
         assert_eq!(read.len(), written.len());
         assert_eq!(set(&read), set(&written));
+    }
+
+    // ---- shortcut reload ---------------------------------------------------
+
+    /// Reload `written` through the shortcut, assert it agrees with the
+    /// full lenient read of the same files (same quarantine, same
+    /// surviving identities), and return the quarantine labels.
+    fn reload_agrees(written: &Written) -> Vec<&'static str> {
+        let (survivors, quarantined) = written.reload();
+        let (lenient, expected) = from_cacerts_lenient("x", &written.files, AnchorSource::Unknown);
+        assert_eq!(quarantined, expected);
+        let set = |s: &RootStore| -> std::collections::BTreeSet<_> {
+            s.identities().iter().cloned().collect()
+        };
+        assert_eq!(set(&survivors), set(&lenient));
+        quarantined.iter().map(|q| q.error.label()).collect()
+    }
+
+    fn cache_of(store: &RootStore) -> ArmorCache {
+        let mut cache = ArmorCache::default();
+        cache.add(store);
+        cache
+    }
+
+    #[test]
+    fn cached_writer_matches_uncached_and_reloads_every_anchor() {
+        let store = ReferenceStore::Aosp44.cached();
+        let cache = cache_of(&store);
+        let written = cache.write(&store);
+        assert_eq!(written.files, to_cacerts_pem(&store));
+        assert!(reload_agrees(&written).is_empty());
+        // Survivors are the written anchors themselves, in store order.
+        let (survivors, _) = written.reload();
+        assert_eq!(survivors.identities(), store.identities());
+        assert!(survivors.iter().all(|a| a.source == AnchorSource::Aosp));
+    }
+
+    #[test]
+    fn verbatim_appended_copy_is_still_a_duplicate() {
+        let store = sample_store(3);
+        let cache = cache_of(&store);
+        let mut written = cache.write(&store);
+        let mut copy = written.files[0].clone();
+        copy.name = format!("{}.90", &copy.name[..8]);
+        written.files.push(copy);
+        assert_eq!(reload_agrees(&written), ["duplicate-der"]);
+        assert_eq!(written.reload().0.len(), 3);
+    }
+
+    #[test]
+    fn unchanged_bytes_under_a_wrong_hash_name_mismatch() {
+        let store = sample_store(3);
+        let cache = cache_of(&store);
+        let mut written = cache.write(&store);
+        written.files[1].name = "00000000.0".into();
+        assert_eq!(reload_agrees(&written), ["hash-mismatch"]);
+        assert_eq!(written.reload().0.len(), 2);
+    }
+
+    #[test]
+    fn unchanged_bytes_under_a_malformed_name_are_bad_names() {
+        let store = sample_store(3);
+        let cache = cache_of(&store);
+        let mut written = cache.write(&store);
+        written.files[2].name = "zzzz.0".into();
+        assert_eq!(reload_agrees(&written), ["bad-name"]);
+        assert_eq!(written.reload().0.len(), 2);
+    }
+
+    #[test]
+    fn damaged_files_take_the_lenient_path() {
+        let store = sample_store(4);
+        // An empty cache renders every anchor afresh; reload agrees too.
+        let cache = ArmorCache::default();
+        let mut written = cache.write(&store);
+        let raw = |file: &CacertsFile| {
+            tangled_x509::pem::decode("CERTIFICATE", std::str::from_utf8(&file.der).unwrap())
+                .unwrap()
+        };
+        // A raw-DER copy of an untouched file is a duplicate; a raw-DER
+        // copy of a file that is then emptied keeps its anchor alive.
+        let copies: Vec<CacertsFile> = [0, 2]
+            .iter()
+            .map(|&i| CacertsFile {
+                name: format!("{}.7", &written.files[i].name[..8]),
+                der: raw(&written.files[i]),
+            })
+            .collect();
+        written.files.extend(copies);
+        written.files[0].der.clear();
+        let keep = written.files[1].der.len() / 2;
+        written.files[1].der.truncate(keep);
+        assert_eq!(
+            reload_agrees(&written),
+            ["empty-file", "pem-armor", "duplicate-der"]
+        );
+        assert_eq!(written.reload().0.len(), 3);
     }
 }

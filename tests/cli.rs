@@ -4,12 +4,14 @@
 //! Most cases stop at argument checking or at their first file open.
 //! The exceptions: a `disparity` spawn killed after its first stderr line
 //! reports the pool width, a `mkstore`/`audit` round trip over a cacerts
-//! directory, and `serve` spawns that pin the `trustd listening on` first
-//! line and answer pipelined `loadgen` replays.
+//! directory, `trace` runs whose logs are pinned at two pool widths, and
+//! `serve` spawns that pin the `trustd listening on` first line and answer
+//! pipelined `loadgen` replays.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
+use tangled_mass::crypto::sha256::{hex, sha256};
 use tangled_mass::pki::cacerts::subject_hash;
 use tangled_mass::pki::factory::CaFactory;
 
@@ -274,6 +276,47 @@ fn mkstore_then_audit_reads_pem_and_der_and_names_damaged_files() {
     );
     assert!(stdout(&damaged).contains("+1 additions, -1 removals"), "{}", stdout(&damaged));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn trace_is_byte_identical_at_widths_1_and_2_and_pinned() {
+    let traces: Vec<(Vec<u8>, String)> = ["1", "2"]
+        .iter()
+        .map(|width| {
+            let path = scratch(&format!("trace{width}.jsonl"));
+            let p = path.to_str().expect("utf-8 temp path");
+            let out = run_exit(0, &["trace", p, "0.05", "--threads", width]);
+            let jsonl = std::fs::read(&path).expect("read trace");
+            let _ = std::fs::remove_file(&path);
+            (jsonl, String::from_utf8_lossy(&out.stdout).into_owned())
+        })
+        .collect();
+    let (jsonl, stdout) = &traces[0];
+    assert!(
+        *jsonl == traces[1].0,
+        "the width-1 and width-2 traces differ"
+    );
+    let text = String::from_utf8_lossy(jsonl);
+    let first = text.lines().next().unwrap_or_default();
+    assert!(
+        first.contains(r#""kind":"run_start""#),
+        "first line: {first}"
+    );
+    assert!(
+        text.contains(r#""kind":"quarantine""#),
+        "no quarantine event"
+    );
+    assert!(
+        stdout.contains(
+            "stages: netalyzr.population, notary.ecosystem, notary.validate, run, \
+             study.with_faults"
+        ),
+        "stdout: {stdout}"
+    );
+    assert_eq!(
+        hex(&sha256(jsonl)),
+        "f7d5c36c7fd1cd0a7103720afae2d2686b6c84f392c43de591fa3f6862378b28"
+    );
 }
 
 /// A `tangled serve` child, killed when dropped so that a failed
