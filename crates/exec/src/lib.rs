@@ -23,10 +23,11 @@
 //! then [`std::thread::available_parallelism`].
 //!
 //! [`StripedMap`] complements the pool: a lock-striped, bounded hash map
-//! for a memo table shared across shards (the process-wide signature
-//! memo). Striping keeps contention low; memoised values must be pure
-//! functions of their key, which makes the map's fill order — the only
-//! nondeterministic thing about it — unobservable in results.
+//! for a memo table shared across shards or connections (the
+//! process-wide signature memo and trustd's verdict memo). Striping keeps
+//! contention low; memoised values must be pure functions of their key,
+//! which makes the map's fill order — the only nondeterministic thing
+//! about it — unobservable in results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

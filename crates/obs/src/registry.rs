@@ -1,10 +1,10 @@
 //! The process-wide metrics registry.
 //!
 //! Counters, gauges and [`Log2Histogram`]s keyed by dotted metric names
-//! (`exec.par_map.items`, `trustd.request_us`). Metrics are created on
-//! first touch; recording is an atomic op on an `Arc`'d cell, with one
-//! short map-lock to resolve the name — cheap at the stage granularity
-//! the pipeline records at.
+//! (`exec.par_map.items`, `trustd.event.pipeline_depth`). Metrics are
+//! created on first touch; recording is an atomic op on an `Arc`'d cell,
+//! with one short map-lock to resolve the name (allocating only on first
+//! touch) — cheap at the stage granularity the pipeline records at.
 //!
 //! Metric *values* are free to be nondeterministic (latencies, memo hit
 //! rates, pool widths). The dump format is not: [`Registry::dump_text`]
@@ -34,20 +34,17 @@ impl Registry {
 
     /// The counter cell for `name`, created at zero on first touch.
     pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        let mut map = self.counters.lock().expect("registry poisoned");
-        Arc::clone(map.entry(name.to_owned()).or_default())
+        cell(&self.counters, name)
     }
 
     /// The gauge cell for `name`, created at zero on first touch.
     pub fn gauge(&self, name: &str) -> Arc<AtomicI64> {
-        let mut map = self.gauges.lock().expect("registry poisoned");
-        Arc::clone(map.entry(name.to_owned()).or_default())
+        cell(&self.gauges, name)
     }
 
     /// The histogram for `name`, created empty on first touch.
     pub fn hist(&self, name: &str) -> Arc<Log2Histogram> {
-        let mut map = self.hists.lock().expect("registry poisoned");
-        Arc::clone(map.entry(name.to_owned()).or_default())
+        cell(&self.hists, name)
     }
 
     /// Add `n` to the counter `name`.
@@ -75,7 +72,7 @@ impl Registry {
     /// ```text
     /// counter exec.par_map.calls 12
     /// gauge   exec.pool.width 8
-    /// hist    trustd.request_us count=40 p50=128 p99=4096
+    /// hist    trustd.event.pipeline_depth count=40 p50=1 p99=8
     /// ```
     pub fn dump_text(&self) -> String {
         let mut out = String::new();
@@ -148,6 +145,17 @@ impl Registry {
     }
 }
 
+/// The cell for `name` in one namespace. The name is looked up first and
+/// copied only on first touch, so recording into an existing metric
+/// allocates nothing.
+fn cell<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock().expect("registry poisoned");
+    if let Some(cell) = map.get(name) {
+        return Arc::clone(cell);
+    }
+    Arc::clone(map.entry(name.to_owned()).or_default())
+}
+
 /// The process-wide registry every pipeline stage records into.
 pub fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
@@ -190,6 +198,15 @@ mod tests {
         assert_eq!(r.counter("a.calls").load(Ordering::Relaxed), 5);
         assert_eq!(r.gauge("a.width").load(Ordering::Relaxed), 5);
         assert_eq!(r.hist("a.us").count(), 2);
+    }
+
+    #[test]
+    fn a_name_resolves_to_one_cell() {
+        let r = Registry::new();
+        assert!(Arc::ptr_eq(&r.counter("c"), &r.counter("c")));
+        assert!(Arc::ptr_eq(&r.gauge("g"), &r.gauge("g")));
+        assert!(Arc::ptr_eq(&r.hist("h"), &r.hist("h")));
+        assert!(!Arc::ptr_eq(&r.counter("c"), &r.counter("d")));
     }
 
     #[test]

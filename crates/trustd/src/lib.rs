@@ -31,7 +31,6 @@
 //!   [`tangled_x509::ChainKey`] as the batch validation counter; store
 //!   profiles are plain [`tangled_pki::store::RootStore`] snapshots.
 
-pub mod cache;
 pub mod chaos;
 pub mod client;
 pub mod event;

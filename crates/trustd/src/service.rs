@@ -5,18 +5,18 @@
 //! loadgen client assert byte-identical verdicts between the served and
 //! offline paths: both run this exact function.
 //!
-//! Validation verdicts are memoised in a bounded LRU keyed by
-//! `(epoch, ChainKey)`. The epoch component makes profile swaps
-//! self-invalidating: a swap installs under a fresh epoch, so every stale
-//! entry simply stops being reachable and ages out of the LRU.
+//! Validation verdicts are memoised in a bounded, flush-at-cap
+//! [`StripedMap`] keyed by `(epoch, ChainKey)`. The epoch component makes
+//! profile swaps self-invalidating: a swap installs under a fresh epoch,
+//! so every stale entry simply stops being reachable and goes with the
+//! next flush of its stripe.
 //!
 //! Each piece of mutable state has one lock: the store index (its
-//! profiles and epoch), the memo, the counters and the swap log. The
-//! swap log holds the journal and its compaction together, since every
-//! journalled swap appends and may compact; holding it also serialises
-//! swaps.
+//! profiles and epoch), each memo stripe, the counters and the swap log.
+//! The swap log holds the journal and its compaction together, since
+//! every journalled swap appends and may compact; holding it also
+//! serialises swaps.
 
-use crate::cache::LruCache;
 use crate::index::{StoreIndex, StoreProfile};
 use crate::stats::ServiceStats;
 use crate::wire::{ChainVerdict, Request, Response, WireError};
@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tangled_core::classify::class_index;
+use tangled_exec::StripedMap;
 use tangled_intercept::defect::{evaluate_session, DefectClass, SessionInput};
 use tangled_intercept::detect::{probe, Verdict};
 use tangled_intercept::origin::OriginServers;
@@ -43,7 +44,8 @@ use tangled_x509::{Certificate, CertIdentity, ChainKey, ChainOptions};
 /// install takes an epoch no install has had before
 /// ([`StoreIndex::install`] advances the counter,
 /// [`StoreIndex::install_at_epoch`] refuses an epoch at or behind it), so
-/// two profiles never share one.
+/// two profiles never share one. A verdict is therefore a pure function
+/// of its key, which is the contract [`StripedMap`] asks of its values.
 type MemoKey = (u64, ChainKey);
 
 /// A handler's result: its reply, or the classified `error` reply that
@@ -53,6 +55,11 @@ type Reply = Result<Response, Response>;
 
 /// Default memo-cache capacity.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
+
+/// Memo entries per stripe: a memo gets one stripe per this many entries
+/// of capacity, so the small memos the tests build have one stripe and
+/// keep every entry until the memo is full.
+const ENTRIES_PER_STRIPE: usize = 1024;
 
 /// The write-ahead swap journal and, when armed, its compaction. One
 /// lock holds both: every swap appends to the journal and may compact
@@ -83,7 +90,9 @@ pub(crate) struct Compaction {
 /// The trust-decision service.
 pub struct TrustService {
     index: StoreIndex,
-    cache: Mutex<LruCache<MemoKey, ChainVerdict>>,
+    /// The verdict memo; its hit/miss counters are the `stats` reply's
+    /// `cache` counters.
+    memo: StripedMap<MemoKey, ChainVerdict>,
     classes: HashMap<CertIdentity, Figure2Class>,
     expected_issuer: CertIdentity,
     stats: ServiceStats,
@@ -94,8 +103,8 @@ pub struct TrustService {
 
 impl TrustService {
     /// A service over the ten standard profiles (six reference stores
-    /// plus the four ecosystem families) with the given memo capacity
-    /// (0 disables caching).
+    /// plus the four ecosystem families) with a memo of at most
+    /// `cache_capacity` verdicts (0 disables caching).
     pub fn new(cache_capacity: usize) -> TrustService {
         TrustService::with_index(StoreIndex::with_standard_profiles(), cache_capacity)
     }
@@ -105,9 +114,10 @@ impl TrustService {
     /// (or cold) and replays the checkpoint and journal into it before
     /// serving begins.
     pub fn with_index(index: StoreIndex, cache_capacity: usize) -> TrustService {
+        let stripes = (cache_capacity / ENTRIES_PER_STRIPE).max(1);
         TrustService {
             index,
-            cache: Mutex::new(LruCache::new(cache_capacity)),
+            memo: StripedMap::bounded(stripes, cache_capacity / stripes),
             classes: class_index(),
             expected_issuer: OriginServers::for_table6().issuer_identity(),
             stats: ServiceStats::new(),
@@ -143,6 +153,12 @@ impl TrustService {
     /// The service's counters.
     pub fn stats(&self) -> &ServiceStats {
         &self.stats
+    }
+
+    /// The counter ledger's deterministic digest, memo counters included
+    /// (see [`ServiceStats::counters_fingerprint`]).
+    pub fn counters_fingerprint(&self) -> String {
+        self.stats.counters_fingerprint(self.memo.counters())
     }
 
     /// The store index (test introspection).
@@ -212,7 +228,7 @@ impl TrustService {
     /// index (global epoch and per-profile epochs) and, with a journal,
     /// its size and the checkpoints written.
     pub fn stats_document(&self) -> serde_json::Value {
-        let mut doc = self.stats.to_json();
+        let mut doc = self.stats.to_json(self.memo.counters());
         let (epoch, profiles) = self.index.epochs();
         if let serde_json::Value::Object(map) = &mut doc {
             map.insert(
@@ -310,29 +326,19 @@ impl TrustService {
         certs: &[Arc<Certificate>],
         chain_key: ChainKey,
     ) -> (ChainVerdict, bool) {
-        let key: MemoKey = (profile.epoch, chain_key);
-        if let Some(verdict) = self.cache.lock().expect("cache poisoned").get(&key) {
-            self.stats.record_cache(true);
-            return (verdict, true);
-        }
-        self.stats.record_cache(false);
-
-        // Preloaded anchors, borrowed; the presented intermediates.
-        let opts = ChainOptions::at(tangled_intercept::study_time());
-        let verdict = match profile.anchors.verify_chain(&certs[0], &certs[1..], opts) {
-            Ok(path) => ChainVerdict::Trusted {
-                anchor: path.anchor().subject.to_string(),
-                chain_len: path.len(),
-            },
-            Err(e) => ChainVerdict::Untrusted {
-                error: e.label().to_owned(),
-            },
-        };
-        self.cache
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, verdict.clone());
-        (verdict, false)
+        self.memo.get_or_insert_with((profile.epoch, chain_key), || {
+            // Preloaded anchors, borrowed; the presented intermediates.
+            let opts = ChainOptions::at(tangled_intercept::study_time());
+            match profile.anchors.verify_chain(&certs[0], &certs[1..], opts) {
+                Ok(path) => ChainVerdict::Trusted {
+                    anchor: path.anchor().subject.to_string(),
+                    chain_len: path.len(),
+                },
+                Err(e) => ChainVerdict::Untrusted {
+                    error: e.label().to_owned(),
+                },
+            }
+        })
     }
 
     fn classify(&self, cert: &[u8]) -> Reply {
@@ -613,7 +619,36 @@ mod tests {
             }
             other => panic!("expected miss then hit, got {other:?}"),
         }
-        assert_eq!(svc.stats().cache_counts(), (1, 1));
+        assert_eq!(svc.memo.counters(), (1, 1));
+    }
+
+    /// The memo never changes an answer. The mixed plan and the compare
+    /// plan give the offline driver's canonical verdicts with no memo,
+    /// with a 16-entry memo that the compare plan (ten profile keys per
+    /// chain) flushes over and over, and with the default memo; and no
+    /// memo ever holds more entries than its capacity.
+    #[test]
+    fn memo_capacity_never_changes_an_answer() {
+        use crate::replay::{
+            canonical, compare_queries, offline_verdicts, population, queries, ReplaySpec,
+        };
+        let spec = ReplaySpec::new(2014, 60);
+        let mut plan = queries(&population(&spec), &spec);
+        plan.extend(compare_queries(&spec));
+        let expected = offline_verdicts(&plan);
+        for capacity in [0, 16, DEFAULT_CACHE_CAPACITY] {
+            let svc = TrustService::new(capacity);
+            let got = tangled_exec::ExecPool::current()
+                .par_map_indexed(&plan, |_, req| canonical(&svc.handle(req)));
+            assert!(got == expected, "capacity {capacity} changed an answer");
+            assert!(svc.memo.len() <= capacity, "capacity {capacity} overfilled");
+            let (hits, misses) = svc.memo.counters();
+            match capacity {
+                0 => assert_eq!(hits, 0, "no memo, no hits"),
+                16 => assert!(misses > 16, "the plan must overflow the memo"),
+                _ => assert!(hits > 0, "the default memo must answer"),
+            }
+        }
     }
 
     #[test]
@@ -877,7 +912,7 @@ mod tests {
         };
         svc.handle(&req); // miss, fills cache
         svc.handle(&req); // hit
-        assert_eq!(svc.stats().cache_counts(), (1, 1));
+        assert_eq!(svc.memo.counters(), (1, 1));
 
         // Swap the profile to an empty store: the old cache key is dead.
         let empty = RootStore::new("empty");
@@ -915,10 +950,26 @@ mod tests {
         });
         let resp = svc.handle(&Request::Stats);
         match resp {
-            Response::Stats(doc) => {
+            Response::Stats(mut doc) => {
                 assert_eq!(doc["served"]["validate"], 1u64);
                 assert_eq!(doc["cache"]["misses"], 1u64);
                 assert!(doc["latency_us"]["validate"]["p50_us"].as_u64().is_some());
+                // Pinned, latency aside (wall-clock): the whole document.
+                if let serde_json::Value::Object(map) = &mut doc {
+                    map.remove("latency_us");
+                }
+                assert_eq!(
+                    serde_json::to_string(&doc).unwrap(),
+                    concat!(
+                        r#"{"cache":{"hits":0,"misses":1},"errors":{},"#,
+                        r#""health":{"balanced":true,"injected":{},"injected_total":0,"#,
+                        r#""quarantined":{},"quarantined_total":0},"#,
+                        r#""index":{"epoch":10,"profiles":{"AOSP 4.1":1,"AOSP 4.2":2,"#,
+                        r#""AOSP 4.3":3,"AOSP 4.4":4,"Apple":7,"Java":10,"Microsoft":8,"#,
+                        r#""Mozilla":5,"Mozilla NSS":9,"iOS 7":6}},"#,
+                        r#""served":{"validate":1},"warm":{"degraded":false,"quarantined":[]}}"#,
+                    )
+                );
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -1,9 +1,16 @@
 //! Per-request-type service counters.
 //!
 //! One mutex-guarded ledger: requests served and errored per request
-//! kind, memo-cache hits/misses, quarantined inputs in the PR-1
-//! [`RunHealth`] vocabulary (stage → error label → count), and a
-//! log₂-bucketed latency histogram per kind for p50/p99.
+//! kind, quarantined inputs in the PR-1 [`RunHealth`] vocabulary (stage →
+//! error label → count), and a log₂-bucketed latency histogram per kind
+//! for p50/p99. Kinds are [`crate::wire::Request::kind`]'s static names,
+//! so recording a request allocates nothing.
+//!
+//! The verdict memo keeps its own hit/miss counters; the service hands
+//! them in when it renders the ledger, so the memo's counters are the
+//! only cache counters. Nothing here is mirrored into the process-wide
+//! metrics registry: the `stats` reply is where each of these counters
+//! lives.
 //!
 //! Latency is wall-clock and therefore nondeterministic; everything else
 //! is a pure function of the request sequence. The determinism tests
@@ -14,19 +21,16 @@ use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 use tangled_core::health::RunHealth;
-use tangled_obs::registry as metrics;
 use tangled_obs::Log2Histogram;
 
 #[derive(Default)]
 struct StatsInner {
-    served: BTreeMap<String, u64>,
-    errors: BTreeMap<String, u64>,
-    cache_hits: u64,
-    cache_misses: u64,
+    served: BTreeMap<&'static str, u64>,
+    errors: BTreeMap<&'static str, u64>,
     health: RunHealth,
     /// Per-kind latency in µs: bucket `i` covers `[2^i, 2^(i+1))`,
     /// bucket 0 also absorbs sub-µs samples.
-    latency: BTreeMap<String, Log2Histogram>,
+    latency: BTreeMap<&'static str, Log2Histogram>,
     /// Snapshot sections (or profiles) quarantined during a degraded
     /// warm start: `(unit, label)`. Rendered canonically sorted, so the
     /// stats document is byte-reproducible regardless of the order the
@@ -51,45 +55,20 @@ impl ServiceStats {
     }
 
     /// Record one request of `kind`, its latency, and whether it resolved
-    /// to an error response. Mirrored into the process-wide metrics
-    /// registry (`trustd.requests.<kind>`, `trustd.request_us`) so a
-    /// `--metrics-dump` covers the serving path too.
-    pub fn record_request(&self, kind: &str, micros: u64, errored: bool) {
+    /// to an error response.
+    pub fn record_request(&self, kind: &'static str, micros: u64, errored: bool) {
         let mut inner = self.inner();
-        *inner.served.entry(kind.to_owned()).or_default() += 1;
+        *inner.served.entry(kind).or_default() += 1;
         if errored {
-            *inner.errors.entry(kind.to_owned()).or_default() += 1;
+            *inner.errors.entry(kind).or_default() += 1;
         }
-        inner.latency.entry(kind.to_owned()).or_default().record(micros);
-        drop(inner);
-        metrics::add(&format!("trustd.requests.{kind}"), 1);
-        metrics::observe("trustd.request_us", micros);
-    }
-
-    /// Record a memo-cache hit or miss.
-    pub fn record_cache(&self, hit: bool) {
-        let mut inner = self.inner();
-        if hit {
-            inner.cache_hits += 1;
-        } else {
-            inner.cache_misses += 1;
-        }
-        drop(inner);
-        metrics::add(
-            if hit {
-                "trustd.cache.hits"
-            } else {
-                "trustd.cache.misses"
-            },
-            1,
-        );
+        inner.latency.entry(kind).or_default().record(micros);
     }
 
     /// Record one quarantined input under `(stage, label)` — the PR-1
     /// graceful-degradation vocabulary.
     pub fn record_quarantined(&self, stage: &str, label: &str) {
         self.inner().health.record_quarantined(stage, label);
-        metrics::add("trustd.quarantined", 1);
     }
 
     /// Record one snapshot unit quarantined during a degraded warm start
@@ -101,19 +80,11 @@ impl ServiceStats {
         let mut inner = self.inner();
         inner.health.record_quarantined("warm", label);
         inner.degraded.push((unit.to_owned(), label.to_owned()));
-        drop(inner);
-        metrics::add("trustd.warm.degraded", 1);
     }
 
     /// Total requests served (all kinds).
     pub fn served_total(&self) -> u64 {
         self.inner().served.values().sum()
-    }
-
-    /// Memo-cache (hits, misses).
-    pub fn cache_counts(&self) -> (u64, u64) {
-        let inner = self.inner();
-        (inner.cache_hits, inner.cache_misses)
     }
 
     /// Total quarantined inputs.
@@ -122,8 +93,9 @@ impl ServiceStats {
     }
 
     /// A deterministic digest of every counter *except* latency (which is
-    /// wall-clock): same request sequence → same fingerprint.
-    pub fn counters_fingerprint(&self) -> String {
+    /// wall-clock), with the memo's `(hits, misses)` as `cache`: same
+    /// request sequence → same fingerprint.
+    pub fn counters_fingerprint(&self, cache: (u64, u64)) -> String {
         let inner = self.inner();
         let mut out = String::new();
         for (kind, n) in &inner.served {
@@ -132,10 +104,7 @@ impl ServiceStats {
         for (kind, n) in &inner.errors {
             out.push_str(&format!("errors:{kind}={n};"));
         }
-        out.push_str(&format!(
-            "cache={}/{};",
-            inner.cache_hits, inner.cache_misses
-        ));
+        out.push_str(&format!("cache={}/{};", cache.0, cache.1));
         for (stage, errors) in &inner.health.quarantined {
             for (label, n) in errors {
                 out.push_str(&format!("quarantined:{stage}/{label}={n};"));
@@ -144,8 +113,9 @@ impl ServiceStats {
         out
     }
 
-    /// The full stats document served on a `stats` request.
-    pub fn to_json(&self) -> Value {
+    /// The counter ledger of the stats document served on a `stats`
+    /// request, with the memo's `(hits, misses)` as `cache`.
+    pub fn to_json(&self, cache: (u64, u64)) -> Value {
         let inner = self.inner();
         // Canonical `(unit, label)` order: the warm-start path may
         // discover damage in any order (parallel verifier builds,
@@ -154,12 +124,15 @@ impl ServiceStats {
         let mut degraded = inner.degraded.clone();
         degraded.sort();
         degraded.dedup();
+        let per_kind = |map: &BTreeMap<&str, u64>| -> Value {
+            Value::Object(map.iter().map(|(k, n)| (k.to_string(), Value::from(*n))).collect())
+        };
         let latency: BTreeMap<String, Value> = inner
             .latency
             .iter()
             .map(|(kind, h)| {
                 (
-                    kind.clone(),
+                    kind.to_string(),
                     json!({
                         "count": h.count(),
                         "p50_us": h.percentile(50),
@@ -169,11 +142,11 @@ impl ServiceStats {
             })
             .collect();
         json!({
-            "served": inner.served.clone(),
-            "errors": inner.errors.clone(),
+            "served": per_kind(&inner.served),
+            "errors": per_kind(&inner.errors),
             "cache": {
-                "hits": inner.cache_hits,
-                "misses": inner.cache_misses,
+                "hits": cache.0,
+                "misses": cache.1,
             },
             "health": inner.health.to_json(),
             "latency_us": latency,
@@ -226,18 +199,16 @@ mod tests {
             s.record_request("validate", latency, false);
             s.record_request("validate", latency * 2, false);
             s.record_request("audit", latency, true);
-            s.record_cache(true);
-            s.record_cache(false);
             s.record_quarantined("wire", "bad-json");
             s
         };
         let a = mk(5);
         let b = mk(5000);
-        assert_eq!(a.counters_fingerprint(), b.counters_fingerprint());
+        assert_eq!(a.counters_fingerprint((1, 1)), b.counters_fingerprint((1, 1)));
         assert_eq!(a.served_total(), 3);
-        assert_eq!(a.cache_counts(), (1, 1));
         assert_eq!(a.quarantined_total(), 1);
-        let fp = a.counters_fingerprint();
+        let fp = a.counters_fingerprint((1, 1));
+        assert!(fp.contains("cache=1/1;"), "{fp}");
         assert!(fp.contains("served:validate=2;"), "{fp}");
         assert!(fp.contains("errors:audit=1;"), "{fp}");
         assert!(fp.contains("quarantined:wire/bad-json=1;"), "{fp}");
@@ -247,11 +218,11 @@ mod tests {
     fn json_document_shape() {
         let s = ServiceStats::new();
         s.record_request("probe", 12, false);
-        s.record_cache(true);
         s.record_quarantined("cacerts", "malformed-der");
-        let v = s.to_json();
+        let v = s.to_json((1, 0));
         assert_eq!(v["served"]["probe"], 1u64);
         assert_eq!(v["cache"]["hits"], 1u64);
+        assert_eq!(v["cache"]["misses"], 0u64);
         assert_eq!(v["health"]["quarantined"]["cacerts"]["malformed-der"], 1u32);
         assert_eq!(v["latency_us"]["probe"]["count"], 1u64);
         assert!(v["latency_us"]["probe"]["p99_us"].as_u64().is_some());
@@ -262,12 +233,12 @@ mod tests {
     fn degraded_warm_start_is_surfaced() {
         let s = ServiceStats::new();
         s.record_degraded("ecosystem", "checksum-mismatch");
-        let v = s.to_json();
+        let v = s.to_json((0, 0));
         assert_eq!(v["warm"]["degraded"], true);
         assert_eq!(v["warm"]["quarantined"][0]["section"], "ecosystem");
         assert_eq!(v["warm"]["quarantined"][0]["error"], "checksum-mismatch");
         assert_eq!(v["health"]["quarantined"]["warm"]["checksum-mismatch"], 1u32);
-        let fp = s.counters_fingerprint();
+        let fp = s.counters_fingerprint((0, 0));
         assert!(fp.contains("quarantined:warm/checksum-mismatch=1;"), "{fp}");
     }
 
@@ -283,7 +254,7 @@ mod tests {
         b.record_degraded("AOSP 4.2", "missing-profile");
         b.record_degraded("population", "checksum-mismatch");
         b.record_degraded("eco-stores", "missing-section");
-        let (ja, jb) = (a.to_json(), b.to_json());
+        let (ja, jb) = (a.to_json((0, 0)), b.to_json((0, 0)));
         assert_eq!(
             serde_json::to_string(&ja["warm"]).unwrap(),
             serde_json::to_string(&jb["warm"]).unwrap()

@@ -75,9 +75,11 @@ pub fn verify_memoised(
     signature: &[u8],
 ) -> Result<(), X509Error> {
     let memo_key = (spki_digest(key), message_digest(algorithm, tbs, signature));
-    memo().get_or_insert_with(memo_key, || {
-        key.verify(algorithm, tbs, signature).map_err(X509Error::Crypto)
-    })
+    memo()
+        .get_or_insert_with(memo_key, || {
+            key.verify(algorithm, tbs, signature).map_err(X509Error::Crypto)
+        })
+        .0
 }
 
 /// Lifetime (hits, misses) of the process-wide memo. A hit is a modular

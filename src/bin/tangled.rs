@@ -972,7 +972,7 @@ fn cmd_stats(scale: f64) -> Result<(), CliError> {
     });
     let _ = service.handle(&Request::Stats);
     let in_process = service.stats().served_total();
-    let in_process_fingerprint = service.stats().counters_fingerprint();
+    let in_process_fingerprint = service.counters_fingerprint();
 
     // Exercise the event core end-to-end over a real socket, served by
     // the same service: a pipelined burst of stats and validates

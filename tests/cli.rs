@@ -4,7 +4,8 @@
 //! Most cases stop at argument checking or at their first file open.
 //! The exceptions: a `disparity` spawn killed after its first stderr line
 //! reports the pool width, a `mkstore`/`audit` round trip over a cacerts
-//! directory, `trace` runs whose logs are pinned at two pool widths, and
+//! directory, `trace` runs whose logs are pinned at two pool widths, a
+//! snapshot written at two pool widths and read back as the tables, and
 //! `serve` spawns that pin the `trustd listening on` first line and answer
 //! pipelined `loadgen` replays.
 
@@ -316,6 +317,37 @@ fn trace_is_byte_identical_at_widths_1_and_2_and_pinned() {
     assert_eq!(
         hex(&sha256(jsonl)),
         "f7d5c36c7fd1cd0a7103720afae2d2686b6c84f392c43de591fa3f6862378b28"
+    );
+}
+
+#[test]
+fn snap_write_is_width_invariant_and_reads_back_as_the_tables() {
+    let snaps: Vec<PathBuf> = ["1", "4"]
+        .iter()
+        .map(|width| {
+            let path = scratch(&format!("study{width}.snap"));
+            let p = path.to_str().expect("utf-8 temp path");
+            run_exit(0, &["snap", "write", p, "0.05", "--threads", width]);
+            path
+        })
+        .collect();
+    let bytes: Vec<Vec<u8>> = snaps
+        .iter()
+        .map(|p| std::fs::read(p).expect("read snapshot"))
+        .collect();
+    assert!(bytes[0] == bytes[1], "the width-1 and width-4 snapshots differ");
+    let snap = snaps[0].to_str().expect("utf-8 temp path");
+    run_exit(0, &["snap", "verify", snap]);
+    let read = run_exit(0, &["snap", "read", snap]);
+    let tables = run_exit(0, &["tables", "0.05"]);
+    assert!(!tables.stdout.is_empty(), "`tables` printed nothing");
+    for path in &snaps {
+        let _ = std::fs::remove_file(path);
+    }
+    assert_eq!(
+        String::from_utf8_lossy(&read.stdout),
+        String::from_utf8_lossy(&tables.stdout),
+        "`snap read` must print exactly what `tables` prints"
     );
 }
 

@@ -535,7 +535,6 @@ fn compaction_after_a_degraded_start_restarts_from_its_checkpoint() {
     );
     assert!(
         !a.service
-            .stats()
             .counters_fingerprint()
             .contains("quarantined:compact/"),
         "no checkpoint failed"
